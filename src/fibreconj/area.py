@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from . import words
 from .decisions import OracleUnknown
 from .words import (
     cyclic_reduce,
@@ -134,34 +135,6 @@ def _tables(pres: Presentation):
     return tuple(strings), forms, lengths, step
 
 
-def _swap_table():
-    d = {}
-    for i in range(26):
-        lo = chr(ord("a") + i)
-        up = chr(ord("A") + i)
-        d[lo] = up
-        d[up] = lo
-    return d
-
-
-_SWAP = _swap_table()
-
-
-def _mul2(a: str, b: str) -> str:
-    """Product of two reduced words (cancellation happens only at the seam)."""
-    i = len(a)
-    j = 0
-    n = len(b)
-    while i > 0 and j < n and a[i - 1] == _SWAP[b[j]]:
-        i -= 1
-        j += 1
-    return a[:i] + b[j:]
-
-
-def _insert(v: str, k: int, s: str) -> str:
-    return _mul2(_mul2(v[:k], s), v[k:])
-
-
 def _finishing_moves(v: str, tables) -> list[tuple[str, str]]:
     """All (prefix, inserted string) pairs that cancel v to the empty word.
 
@@ -170,10 +143,11 @@ def _finishing_moves(v: str, tables) -> list[tuple[str, str]]:
     insertable string.
     """
     strings, forms, lengths, _ = tables
+    mul2 = words.mul2  # see area_bounded
     out = []
     sset = forms.keys()
     for k in range(len(v) + 1):
-        t = _mul2(v[k:], v[:k])
+        t = mul2(v[k:], v[:k])
         if len(t) in lengths:
             s = inverse(t)
             if s in sset:
@@ -218,6 +192,10 @@ def area_bounded(
     tables = _tables(pres)
     strings, forms, lengths, step = tables
     gens = pres.generators
+    # Read off the module, not imported by name: it runs for every child
+    # state, and perfbench's tracer wraps the words functions a module
+    # imports, which would record millions of spans per search.
+    mul2 = words.mul2
     cap = maxM if maxM is not None else 10_000
 
     if step and _l1(w, gens) > cap * step:
@@ -247,7 +225,7 @@ def area_bounded(
                 head = v[:k]
                 tail = v[k:]
                 for s in strings:
-                    child = _mul2(_mul2(head, s), tail)
+                    child = mul2(mul2(head, s), tail)
                     d = dist.get(child)
                     if d is None:
                         if step and _l1(child, gens) > (cap - level - 1) * step:

@@ -21,6 +21,7 @@ from .words import (
     free_reduce,
     inverse,
     mul,
+    mul2,
     power,
     primitive_root,
     rotate,
@@ -162,39 +163,80 @@ def check_c16(pres: Presentation) -> bool:
     return True
 
 
+@lru_cache(maxsize=64)
+def _half_index(pres: Presentation) -> tuple[dict, tuple[int, ...]]:
+    """Index of the rewritable prefixes: (prefix -> (length, mark, replacement), lengths).
+
+    Every prefix s[:j] longer than half of a marked rotation s maps to
+    its length j, the mark of s and the replacement inverse(s[j:]).
+    lengths lists the distinct prefix lengths, longest first.  Only
+    built for C'(1/6) presentations, where no two rotations share such
+    a prefix (see dehn_greedy_trace).
+    """
+    index = {}
+    for s, mark in _marked_rotations(pres):
+        for j in range(len(s) // 2 + 1, len(s) + 1):
+            index[s[:j]] = (j, mark, inverse(s[j:]))
+    return index, tuple(sorted({j for j, _, _ in index.values()}, reverse=True))
+
+
 def dehn_greedy_trace(w: str, pres: Presentation):
     """Greedy shortening rewrite; returns (terminal word, replayable steps).
 
     Whenever the word contains more than half of a marked rotation s,
     that prefix s[:j] is replaced by the inverse of the complement
-    s[j:], which is strictly shorter, then the word is freely reduced.
-    Scanning is leftmost-first with a fixed rotation order and longest
-    match first, so the trace is deterministic.  Each step records
-    (position, mark, matched length).
+    s[j:], which is strictly shorter, and the result is freely reduced.
+    The rewrite is leftmost-first and longest match first, so the trace
+    is deterministic.  Each step records (position, mark, matched
+    length).
+
+    Uniqueness: a common prefix of two distinct marked rotations is a
+    piece, and under C'(1/6) a piece is shorter than a sixth of its
+    relator.  So a prefix longer than half of a marked rotation belongs
+    to that rotation alone, and at any position at most one rotation
+    matches.  One dictionary lookup per candidate length, longest
+    first, therefore finds the match a scan over all rotations finds.
+
+    Resume: the word and the inserted replacement are both reduced, so
+    letters cancel only at the two seams of the rewrite.  Let c be the
+    first position the rewrite changed and L the longest relator.  Every
+    window that starts before c - L + 1 ends by c, so it is unchanged
+    and was already found not to match; the scan resumes at
+    max(0, c - L + 1) and still finds the leftmost match.
+
+    Cost: every step shortens the word, and the scan backs up at most
+    L - 1 letters plus those cancelled, so a whole rewrite looks at
+    O(L * |w|) positions, each with at most L dictionary lookups.  Each
+    step also copies the word once.
     """
     if not check_c16(pres):
         raise ValueError("greedy rewriting requires the C'(1/6) condition")
-    marks = _marked_rotations(pres)
+    index, lengths = _half_index(pres)
     w = free_reduce(w)
     steps: list[tuple[int, tuple[int, int, int], int]] = []
+    start = 0
     while True:
         hit = None
-        for pos in range(len(w)):
-            for s, mark in marks:
-                top = min(len(s), len(w) - pos)
-                for j in range(top, len(s) // 2, -1):
-                    if w[pos : pos + j] == s[:j]:
-                        hit = (pos, mark, j, s)
-                        break
-                if hit:
+        n = len(w)
+        for pos in range(start, n):
+            for j in lengths:
+                # a window past the end is cut short; then it is the
+                # longest window at pos, and a hit has its own length
+                hit = index.get(w[pos : pos + j])
+                if hit is not None:
                     break
-            if hit:
+            if hit is not None:
                 break
         if hit is None:
             return w, tuple(steps)
-        pos, mark, j, s = hit
-        w = free_reduce(w[:pos] + inverse(s[j:]) + w[pos + j :])
+        j, mark, piece = hit
+        left = mul2(w[:pos], piece)
+        w = mul2(left, w[pos + j :])
         steps.append((pos, mark, j))
+        cut_left = (pos + len(piece) - len(left)) // 2
+        cut_right = (len(left) + n - pos - j - len(w)) // 2
+        changed = min(pos - cut_left, len(left) - cut_right)
+        start = max(0, changed - lengths[0] + 1)
 
 
 def dehn_greedy(w: str, pres: Presentation) -> str:
@@ -344,6 +386,8 @@ def _power_by_scan(w, u, pres, strat, power_bound) -> PowerDecision:
     No is reached through a non-commuting obstruction, through a
     certified finite order of u, or through exhaustion of a supplied
     certified exponent bound; everything else inconclusive is Unknown.
+    An order No carries the Yes decision for u^k and the No decisions
+    of the scan, an exhaustion No the No decisions of the scan.
     """
     exact = strat.exactness_claim
 
@@ -372,19 +416,21 @@ def _power_by_scan(w, u, pres, strat, power_bound) -> PowerDecision:
     if order is not None:
         limit = max(limit, (order + 1) // 2 + 1)
     saw_unknown = False
+    scanned = []
     for p in _scan_order(limit):
         dec = q_equal(w, power(u, p), pres, strat)
         if dec.yes:
             return PowerDecision(Verdict.YES, p, ("power", p, dec))
         if dec.unknown:
             saw_unknown = True
+        scanned.append((p, dec))
         if order is not None and p >= (order + 1) // 2 and -p <= -(order // 2):
             break
     if not saw_unknown:
         if order is not None:
-            return PowerDecision(Verdict.NO, None, ("order", order))
+            return PowerDecision(Verdict.NO, None, ("order", order, dk, tuple(scanned)))
         if power_bound is not None:
-            return PowerDecision(Verdict.NO, None, ("exhausted", power_bound))
+            return PowerDecision(Verdict.NO, None, ("exhausted", power_bound, tuple(scanned)))
     return PowerDecision(Verdict.UNKNOWN, None, ("budget", f"scanned |p| <= {limit}"))
 
 
@@ -400,11 +446,17 @@ def check_decision(dec: Decision, w: str, pres: Presentation) -> bool:
     if kind == "free":
         return cert[1] == w and (dec.yes == (w == ""))
     if kind == "abelian":
+        # zero residues prove w = 1 only when Q is certifiably abelian
+        if dec.yes and not certified_abelian(pres):
+            return False
         model = _model(pres)
         residues = model.residues(w)
         return residues == cert[1] and (dec.yes == (not any(residues)))
     if kind == "dehn":
-        terminal = replay_dehn_trace(w, cert[1], pres)
+        try:
+            terminal = replay_dehn_trace(w, cert[1], pres)
+        except (KeyError, ValueError):  # a step names no rotation or does not match
+            return False
         return terminal == cert[2] and (dec.yes == (terminal == ""))
     if kind == "product":
         prod = cert[1]
@@ -414,6 +466,18 @@ def check_decision(dec: Decision, w: str, pres: Presentation) -> bool:
             and evaluate_vk_product(prod, pres) == w
         )
     return False
+
+
+def _refuted_exponents(scanned, w: str, u: str, pres: Presentation) -> set[int] | None:
+    """Exponents p whose recorded No for w = u^p checks out; None if any fails."""
+    refuted = set()
+    for p, dec in scanned:
+        if not (isinstance(dec, Decision) and dec.no):
+            return None
+        if not check_decision(dec, mul(w, inverse(power(u, p))), pres):
+            return None
+        refuted.add(p)
+    return refuted
 
 
 def check_power_decision(pd: PowerDecision, w: str, u: str, pres: Presentation) -> bool:
@@ -452,9 +516,30 @@ def check_power_decision(pd: PowerDecision, w: str, u: str, pres: Presentation) 
         inner = cert[1]
         return pd.no and inner.no and check_decision(inner, mul(w, u, inverse(w), inverse(u)), pres)
     if kind == "order":
-        return pd.no
+        if not pd.no or len(cert) != 4:
+            return False
+        k, dk, scanned = cert[1:]
+        refuted = _refuted_exponents(scanned, w, u, pres)
+        # u^k = 1, so refuting one exponent per residue class mod k refutes them all
+        return (
+            isinstance(k, int)
+            and k >= 1
+            and isinstance(dk, Decision)
+            and dk.yes
+            and check_decision(dk, power(u, k), pres)
+            and refuted is not None
+            and {p % k for p in refuted} == set(range(k))
+        )
     if kind == "exhausted":
-        return pd.no
+        if not pd.no or len(cert) != 3:
+            return False
+        bound, scanned = cert[1:]
+        refuted = _refuted_exponents(scanned, w, u, pres)
+        return (
+            isinstance(bound, int)
+            and refuted is not None
+            and refuted >= set(range(-bound, bound + 1))
+        )
     if kind == "trivial-u":
         inner = cert[1]
         return pd.no and inner.no and check_decision(inner, w, pres)

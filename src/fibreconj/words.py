@@ -9,6 +9,7 @@ freely reduced input and all produce freely reduced output.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 
 
@@ -39,6 +40,9 @@ def inverse(w: str) -> str:
     return w[::-1].swapcase()
 
 
+_SWAP = {c: c.swapcase() for c in string.ascii_letters}
+
+
 def free_reduce(w: str) -> str:
     """Freely reduce a word by cancelling adjacent inverse pairs."""
     out: list[str] = []
@@ -57,6 +61,23 @@ def is_reduced(w: str) -> bool:
 def mul(*words: str) -> str:
     """Freely reduced product of words, left to right."""
     return free_reduce("".join(words))
+
+
+def mul2(a: str, b: str) -> str:
+    """Product of two reduced words, cancelling only at the seam between them.
+
+    Both inputs must be freely reduced; then letters can only cancel
+    where a ends and b begins, and the result is freely reduced.  The
+    number of letters cancelled from each side is
+    (len(a) + len(b) - len(result)) // 2.
+    """
+    i = len(a)
+    j = 0
+    n = len(b)
+    while i > 0 and j < n and a[i - 1] == _SWAP[b[j]]:
+        i -= 1
+        j += 1
+    return a[:i] + b[j:]
 
 
 def power(w: str, p: int) -> str:
@@ -114,11 +135,6 @@ def exponent_vector(w: str, generators: str) -> tuple[int, ...]:
     return tuple(w.count(g) - w.count(g.upper()) for g in generators)
 
 
-def least_rotation(w: str) -> str:
-    """Lexicographically least cyclic rotation of w."""
-    return min(rotations(w))
-
-
 def free_conjugator(w: str, v: str) -> str | None:
     """A word x with x^-1 w x = v in the free group, or None.
 
@@ -142,10 +158,6 @@ def free_conjugator(w: str, v: str) -> str | None:
     x = free_reduce(inverse(tw) + cw[:r] + tv)
     assert conjugate(w, x) == v
     return x
-
-
-def are_conjugate(w: str, v: str) -> bool:
-    return free_conjugator(w, v) is not None
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from fibreconj.words import (
     is_reduced,
     letter_key,
     mul,
+    mul2,
     parse_word,
     power,
     primitive_root,
@@ -60,6 +61,15 @@ def test_inverse_involution(w):
 @given(letters, letters, letters)
 def test_mul_associative(a, b, c):
     assert mul(mul(a, b), c) == mul(a, mul(b, c))
+
+
+@given(letters, letters)
+def test_mul2_cancels_at_the_seam(a, b):
+    a, b = free_reduce(a), free_reduce(b)
+    ab = mul2(a, b)
+    assert ab == mul(a, b)
+    cut = (len(a) + len(b) - len(ab)) // 2
+    assert ab == a[: len(a) - cut] + b[cut:]
 
 
 def test_power_and_conjugate():
