@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from heapq import heappop, heappush
+from typing import NamedTuple
 
 from . import words
 from .decisions import OracleUnknown
@@ -108,15 +110,31 @@ class AreaResult:
 # The search moves insert a cyclic rotation of a relator (or inverse
 # relator) into the current word and freely reduce.  m moves from w down
 # to the empty word peel back to a product of m conjugated relators, so
-# breadth-first search depth equals area.
+# the least number of moves equals the area.
+
+class _Tables(NamedTuple):
+    """Per-presentation search data, described in _tables."""
+
+    strings: tuple[str, ...]
+    forms: dict[str, list[tuple[str, str]]]
+    lengths: frozenset[int]
+    vectors: dict[str, tuple[int, ...]]
+    step: int
+    planes: tuple[tuple[str, str, int, dict[str, tuple[tuple[int, int, int], ...]]], ...]
+
 
 @lru_cache(maxsize=64)
-def _tables(pres: Presentation):
-    """(insertable strings, factor forms, relator length set, L1 step).
+def _tables(pres: Presentation) -> _Tables:
+    """Insertable strings, factor forms and lower-bound data.
 
-    factor forms maps each insertable string z to the ways of writing
+    forms maps each insertable string z to the ways of writing
     z = g^-1 * r0 * g with r0 an exact relator or inverse relator; they
     drive the conversion of peeled moves into (theta, relator) factors.
+    vectors holds each string's exponent vector and step the largest L1
+    norm among them.  When step is 0 (every relator has zero exponent
+    sum), planes lists each generator pair (x, y) on which some relator
+    winds as (x, y, T, winding cells of each string), with T the largest
+    total |winding| of a relator there.
     """
     strings: list[str] = []
     forms: dict[str, list[tuple[str, str]]] = {}
@@ -131,26 +149,140 @@ def _tables(pres: Presentation):
                     if (base, g) not in forms[z]:
                         forms[z].append((base, g))
     lengths = frozenset(len(r) for r in pres.relators)
-    step = max((sum(map(abs, exponent_vector(r, pres.generators))) for r in pres.relators), default=0)
-    return tuple(strings), forms, lengths, step
+    gens = pres.generators
+    vectors = {z: exponent_vector(z, gens) for z in strings}
+    step = max((sum(map(abs, vec)) for vec in vectors.values()), default=0)
+    planes = []
+    if step == 0:
+        for i, x in enumerate(gens):
+            for y in gens[i + 1:]:
+                wind = {
+                    z: tuple((cx, cy, n) for (cx, cy), n in _winding(_path(z, x, y)).items())
+                    for z in strings
+                }
+                total = max((sum(abs(n) for _, _, n in cells) for cells in wind.values()), default=0)
+                if total:
+                    planes.append((x, y, total, wind))
+    return _Tables(tuple(strings), forms, lengths, vectors, step, tuple(planes))
 
 
-def _finishing_moves(v: str, tables) -> list[tuple[str, str]]:
+def _path(w: str, x: str, y: str) -> list[tuple[int, int]]:
+    """Lattice points visited by w projected to the (x, y) plane.
+
+    x steps right, y steps up, and every other letter stays put.
+    """
+    X, Y = x.upper(), y.upper()
+    i = j = 0
+    out = [(0, 0)]
+    for c in w:
+        if c == x:
+            i += 1
+        elif c == X:
+            i -= 1
+        elif c == y:
+            j += 1
+        elif c == Y:
+            j -= 1
+        out.append((i, j))
+    return out
+
+
+def _winding(path: list[tuple[int, int]]) -> dict[tuple[int, int], int]:
+    """Nonzero winding numbers of a closed lattice path, by unit cell.
+
+    Cell (i, j) is the square with lower-left corner (i, j); its winding
+    number is the signed count of horizontal edges of column i at or
+    below height j (rightward +1, leftward -1).
+    """
+    edges: dict[int, dict[int, int]] = {}
+    for (i0, j), (i1, _) in zip(path, path[1:]):
+        if i1 != i0:
+            col = edges.setdefault(min(i0, i1), {})
+            col[j] = col.get(j, 0) + i1 - i0
+    out = {}
+    for i, col in edges.items():
+        heights = sorted(col)
+        run = 0
+        for lo, hi in zip(heights, heights[1:]):
+            run += col[lo]
+            if run:
+                for j in range(lo, hi):
+                    out[(i, j)] = run
+    return out
+
+
+def _bounds(v: str, tables: _Tables, gens: str):
+    """Lower bounds on the area of v and of each child of v.
+
+    Returns (bound for v, bound(k, s) for v with s inserted after its
+    first k letters).  With step > 0, one move changes the exponent
+    vector by at most step in L1 norm.  Otherwise, in each plane with
+    T > 0, inserting s at the point p of v's path adds the winding
+    function of s shifted by p (free reduction only removes
+    backtracking), so one move changes sum |winding| by at most T; the
+    child's sum is updated from v's table over the cells of s.  Each
+    bound drops by at most 1 per move, so it is consistent.
+    """
+    if tables.step:
+        step = tables.step
+        ev = exponent_vector(v, gens)
+        own = -(-sum(map(abs, ev)) // step)
+        per_s = {
+            s: -(-sum(abs(a + b) for a, b in zip(ev, vec)) // step)
+            for s, vec in tables.vectors.items()
+        }
+        return own, lambda k, s: per_s[s]
+
+    own = 0
+    data = []
+    for x, y, total, wind in tables.planes:
+        path = _path(v, x, y)
+        table = _winding(path)
+        area = sum(map(abs, table.values()))
+        own = max(own, -(-area // total))
+        data.append((total, wind, table, area, path))
+
+    def bound(k: int, s: str) -> int:
+        h = 0
+        for total, wind, table, area, path in data:
+            px, py = path[k]
+            for cx, cy, n in wind[s]:
+                old = table.get((cx + px, cy + py), 0)
+                area += abs(old + n) - abs(old)
+            if area > h * total:
+                h = -(-area // total)
+        return h
+
+    return own, bound
+
+
+def _core_bound(v: str, forms) -> int:
+    """1 if the nonempty reduced v conjugates a relator rotation, else 2.
+
+    Area 1 means v = theta^-1 z theta freely with z an insertable
+    string, that is, the cyclic core of v is a key of forms.
+    """
+    i, j = 0, len(v)
+    while j - i >= 2 and v[i] == v[j - 1].swapcase():
+        i += 1
+        j -= 1
+    return 1 if v[i:j] in forms else 2
+
+
+def _finishing_moves(v: str, tables: _Tables) -> list[tuple[str, str]]:
     """All (prefix, inserted string) pairs that cancel v to the empty word.
 
     Inserting s after prefix x of v = x*y kills v iff s equals the
     inverse of the reduced rotation y*x, which must then be an
     insertable string.
     """
-    strings, forms, lengths, _ = tables
     mul2 = words.mul2  # see area_bounded
     out = []
-    sset = forms.keys()
     for k in range(len(v) + 1):
         t = mul2(v[k:], v[:k])
-        if len(t) in lengths:
+        if len(t) in tables.lengths:
             s = inverse(t)
-            if s in sset:
+            if s in tables.forms:
                 out.append((v[:k], s))
     return out
 
@@ -158,10 +290,6 @@ def _finishing_moves(v: str, tables) -> list[tuple[str, str]]:
 _PARENT_CAP = 4
 _PATH_CAP = 256
 _FINISHER_CAP = 16
-
-
-def _l1(v: str, gens: str) -> int:
-    return sum(map(abs, exponent_vector(v, gens)))
 
 
 def area_bounded(
@@ -172,13 +300,19 @@ def area_bounded(
 ) -> AreaResult:
     """Least-area product for w among products with at most maxM factors.
 
-    Runs a breadth-first search over reduced words where one step
-    inserts a rotated relator; search depth equals product area, so the
-    first level that reaches the empty word is minimal.  The returned
+    Writes w = t^-1 * c * t with c cyclically reduced and runs an A*
+    search from c over reduced words, where one step inserts a rotated
+    relator and the empty word is the goal.  States leave a heap by
+    f = g + h (g moves made, h a consistent lower bound on the moves
+    left, see _bounds and _core_bound), larger g first on ties, so the
+    first state popped that one move finishes (h = 1) fixes the area m.
+    Every conjugator of the witness is right-multiplied by t; the
     witness is checked to evaluate back to w and to meet the noise bound
-    area*L + |w|.  maxM = None searches without an area cap (the caller
-    must know w is trivial in Q).  A state budget, when given, turns an
-    oversized search into a budget_exhausted result.
+    m*L + |w|, and states with f = m are popped until one does.
+    maxM = None searches without an area cap (the caller must know w is
+    trivial in Q).  A state budget, when given, is checked after every
+    expansion and turns an oversized search into a budget_exhausted
+    result.
     """
     if maxM is not None and maxM < 0:
         raise ValueError("maxM must be nonnegative")
@@ -190,63 +324,81 @@ def area_bounded(
         return AreaResult(None, None, True)
 
     tables = _tables(pres)
-    strings, forms, lengths, step = tables
+    strings, forms = tables.strings, tables.forms
     gens = pres.generators
+    # Every relator has zero exponent sum, so no product reaches w.
+    if not tables.step and any(exponent_vector(w, gens)):
+        return AreaResult(None, None, True)
     # Read off the module, not imported by name: it runs for every child
     # state, and perfbench's tracer wraps the words functions a module
     # imports, which would record millions of spans per search.
     mul2 = words.mul2
     cap = maxM if maxM is not None else 10_000
 
-    if step and _l1(w, gens) > cap * step:
+    core, t = cyclic_reduce(w)
+    h0 = max(_bounds(core, tables, gens)[0], _core_bound(core, forms))
+    if h0 > cap:
         return AreaResult(None, None, True)
 
-    dist = {w: 0}
-    parents: dict[str, list[tuple[str, int, str]]] = {w: []}
-    frontier = [w]
-    level = 0
-    while True:
-        finishers: list[tuple[str, list[tuple[str, str]]]] = []
-        for v in frontier:
-            opts = _finishing_moves(v, tables)
-            if opts:
-                finishers.append((v, opts))
-                if len(finishers) >= _FINISHER_CAP:
-                    break
-        if finishers:
-            m = level + 1
-            witness = _assemble_witness(w, m, finishers, parents, forms, pres)
-            return AreaResult(m, witness, False, states=len(dist))
-        if level + 1 >= cap:
-            return AreaResult(None, None, True, states=len(dist))
-        nxt: list[str] = []
-        for v in frontier:
-            for k in range(len(v) + 1):
-                head = v[:k]
-                tail = v[k:]
-                for s in strings:
-                    child = mul2(mul2(head, s), tail)
-                    d = dist.get(child)
-                    if d is None:
-                        if step and _l1(child, gens) > (cap - level - 1) * step:
-                            continue
-                        dist[child] = level + 1
-                        parents[child] = [(v, k, s)]
-                        nxt.append(child)
-                    elif d == level + 1:
+    dist = {core: 0}
+    parents: dict[str, list[tuple[str, int, str]]] = {core: []}
+    heap = [(h0, 0, 0, core)]
+    seq = 1
+    m = None
+    tried = 0
+    best_noise = None
+    while heap:
+        f, neg_g, _, v = heappop(heap)
+        g = -neg_g
+        if dist[v] != g:
+            continue  # superseded by a shorter route
+        if m is not None and f > m:
+            break
+        if f == g + 1:
+            # one move finishes v, and no open state has smaller f
+            m = cap = f
+            if tried < _FINISHER_CAP:
+                tried += 1
+                prod, noise = _assemble_witness(w, t, m, v, parents, tables, pres)
+                if prod is not None:
+                    return AreaResult(m, prod, False, states=len(dist))
+                best_noise = noise if best_noise is None else min(best_noise, noise)
+            continue
+        g1 = g + 1
+        bound = _bounds(v, tables, gens)[1]
+        for k in range(len(v) + 1):
+            head = v[:k]
+            tail = v[k:]
+            for s in strings:
+                child = mul2(mul2(head, s), tail)
+                d = dist.get(child)
+                if d is not None and d <= g1:
+                    if d == g1:
                         plist = parents[child]
                         if len(plist) < _PARENT_CAP:
                             plist.append((v, k, s))
+                    continue
+                h = bound(k, s)
+                if h < 2:
+                    h = _core_bound(child, forms)
+                if g1 + h > cap:
+                    continue
+                dist[child] = g1
+                parents[child] = [(v, k, s)]
+                heappush(heap, (g1 + h, -g1, seq, child))
+                seq += 1
         if state_budget is not None and len(dist) > state_budget:
             return AreaResult(None, None, False, states=len(dist), budget_exhausted=True)
-        if not nxt:
-            return AreaResult(None, None, True, states=len(dist))
-        frontier = nxt
-        level += 1
+    if m is None:
+        return AreaResult(None, None, True, states=len(dist))
+    bound = m * pres.max_relator_length + len(w)
+    raise AssertionError(
+        f"no noise-compliant witness found: best noise {best_noise}, bound {bound}"
+    )
 
 
 def _paths_to(node: str, parents, budget: list[int]):
-    """Yield move lists leading from the BFS root to node, newest move last."""
+    """Yield move lists leading from the search root to node, newest move last."""
     if not parents[node]:
         yield []
         return
@@ -259,10 +411,13 @@ def _paths_to(node: str, parents, budget: list[int]):
             yield head + [(prev, k, s)]
 
 
-def _factor_options(u: str, s: str, forms) -> list[tuple[str, str]]:
-    """(theta, relator) choices for the factor peeled from inserting s after u."""
+def _factor_options(u: str, s: str, t: str, forms) -> list[tuple[str, str]]:
+    """(theta, relator) choices for the factor peeled from inserting s after u.
+
+    t is the conjugator stripped from the input word, appended to theta.
+    """
     z = inverse(s)
-    return [(mul(g, inverse(u)), base) for base, g in forms[z]]
+    return [(mul(g, inverse(u), t), base) for base, g in forms[z]]
 
 
 def _best_noise_assignment(option_rows: list[list[tuple[str, str]]]):
@@ -300,38 +455,39 @@ def _best_noise_assignment(option_rows: list[list[tuple[str, str]]]):
     return best, factors
 
 
-def _assemble_witness(w, m, finishers, parents, forms, pres) -> VanKampenProduct:
-    """Turn shortest insertion paths into a noise-compliant factor product.
+def _assemble_witness(w, t, m, v_end, parents, tables, pres):
+    """Turn shortest insertion paths into a noise-compliant product for w.
 
-    Each path yields one factor per move; per-factor conjugator choices
-    are optimized by dynamic programming, and paths are tried in
-    deterministic order until one meets the noise bound m*L + |w|.
+    The paths run from the cyclic core c of w = t^-1 * c * t through
+    v_end, which one move finishes, to the empty word.  Each path yields
+    one factor per move; per-factor conjugator choices are optimized by
+    dynamic programming, and paths are tried in deterministic order, at
+    most _PATH_CAP of them, until one meets the noise bound m*L + |w|.
+    Returns (product or None, least noise seen).
     """
+    forms = tables.forms
+    opts = _finishing_moves(v_end, tables)
     bound = m * pres.max_relator_length + len(w)
     best_seen = None
     budget = [_PATH_CAP]
-    for v_end, opts in finishers:
-        for head in _paths_to(v_end, parents, budget):
-            for u_last, s_last in opts:
-                # build per-factor option rows in product order
-                rows = []
-                for prev, k, s in head:
-                    rows.append(_factor_options(prev[:k], s, forms))
-                rows.append(_factor_options(u_last, s_last, forms))
-                noise, factors = _best_noise_assignment(rows)
-                if best_seen is None or noise < best_seen:
-                    best_seen = noise
-                if noise <= bound:
-                    prod = VanKampenProduct(factors)
-                    got = evaluate_vk_product(prod, pres)
-                    if got != w:
-                        raise AssertionError(
-                            f"witness evaluates to {got!r}, expected {w!r}"
-                        )
-                    return prod
-    raise AssertionError(
-        f"no noise-compliant witness found: best noise {best_seen}, bound {bound}"
-    )
+    for head in _paths_to(v_end, parents, budget):
+        budget[0] -= 1
+        for u_last, s_last in opts:
+            # build per-factor option rows in product order
+            rows = [_factor_options(prev[:k], s, t, forms) for prev, k, s in head]
+            rows.append(_factor_options(u_last, s_last, t, forms))
+            noise, factors = _best_noise_assignment(rows)
+            if best_seen is None or noise < best_seen:
+                best_seen = noise
+            if noise <= bound:
+                prod = VanKampenProduct(factors)
+                got = evaluate_vk_product(prod, pres)
+                if got != w:
+                    raise AssertionError(
+                        f"witness evaluates to {got!r}, expected {w!r}"
+                    )
+                return prod, noise
+    return None, best_seen
 
 
 def _class_key(w: str) -> str:

@@ -3,8 +3,10 @@
 Appending a power of a kernel element (trivial in Q, nontrivial in F)
 changes a word only inside its Q-fibre.  The escape routine first
 minimises the word within its fibre, then appends increasing powers of
-a fixed kernel witness until the result is not a proper power in F.
-Short minimal representatives are reported as exceptional instead.
+a fixed kernel witness until the result is not a proper power in F;
+when no power works, a minimal representative that is already not a
+proper power is returned unchanged.  Short minimal representatives are
+reported as exceptional instead.
 """
 
 from __future__ import annotations
@@ -129,8 +131,10 @@ def power_avoid(
 
     Returns an exceptional result when the fibre's minimal representative
     is shorter than cfg.threshold; otherwise appends powers of a kernel
-    witness until primitivity is reached.  Exhausting cfg.k_max raises
-    rather than returning a silently unusable word.
+    witness until primitivity is reached.  When no exponent up to
+    cfg.k_max works, a nonempty minimal representative that is not a
+    proper power is returned itself with k = 0; otherwise exhausting
+    cfg.k_max raises rather than returning a silently unusable word.
     """
     pres = setup.pres
     w0 = minimal_q_rep(w, setup, strat, budget=cfg.ball_budget)
@@ -152,6 +156,8 @@ def power_avoid(
         if not cert.yes:
             raise AssertionError("perturbation moved the Q-image")
         return PerturbResult("perturbed", cand, w0, k, cert)
+    if w0 and not is_proper_power(w0):
+        return PerturbResult("perturbed", w0, w0, 0, q_equal(w0, w, pres, strat))
     raise KMaxExhausted(
         f"no primitive perturbation of {w0!r} with exponent <= {cfg.k_max}"
     )

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fibreconj import area
 from fibreconj.area import (
     Presentation,
     VanKampenProduct,
@@ -13,13 +14,25 @@ from fibreconj.area import (
     evaluate_vk_product,
     rel_cyclics_dehn,
 )
+from fibreconj.brute import brute_area
 from fibreconj.decisions import OracleUnknown
 from fibreconj.oracle import auto_strategy, make_strategy, power_decide, wp_decide
-from fibreconj.words import free_reduce, inverse, mul, random_reduced_word, rotations
+from fibreconj.words import (
+    exponent_vector,
+    free_reduce,
+    inverse,
+    is_reduced,
+    mul,
+    random_reduced_word,
+    reduced_words,
+    rotations,
+)
 
 Z = Presentation("ab", ("b",))
 Z2 = Presentation("ab", ("abAB",))
 Z3 = Presentation("a", ("aaa",))
+ZA3 = Presentation("ab", ("aaa", "abAB"))
+G2 = Presentation("abcd", ("abABcdCD",))
 
 
 def wp_for(pres):
@@ -83,6 +96,146 @@ def test_area_bound_exhausted():
 def test_area_budget():
     res = area_bounded("aabbAABB", None, Z2, state_budget=5)
     assert res.value is None and res.budget_exhausted
+
+
+def test_area_budget_per_expansion(monkeypatch):
+    # acAC has zero exponent sum but is nontrivial in the genus-2 group,
+    # so only the budget stops the search; it may overshoot by the
+    # children of one expansion, (|v| + 1) per insertable string
+    expanded = []
+    bounds = area._bounds
+
+    def spy(v, *args):
+        expanded.append(v)
+        return bounds(v, *args)
+
+    monkeypatch.setattr(area, "_bounds", spy)
+    strings = len(area._tables(G2).strings)
+    for budget in (1, 100, 1000, 3000):
+        expanded.clear()
+        res = area_bounded("acAC", None, G2, state_budget=budget)
+        assert res.value is None and res.budget_exhausted
+        longest = max(map(len, expanded))
+        assert budget < res.states <= budget + (longest + 1) * strings
+
+
+def test_area_search_states():
+    # the winding bound is exact on Z^2, so the search stays on the
+    # optimal paths; a breadth-first search generates 37,201 states here
+    assert area_bounded("aabbAABB", None, Z2).states <= 1_000
+    # a word with nonzero exponent sum cannot be a product of relators
+    # that all have zero exponent sum
+    res = area_bounded("aab", None, Z2)
+    assert res.value is None and res.bound_exhausted and res.states == 0
+
+
+def _check_witness(w, res, pres):
+    """The witness multiplies back to w and meets the noise bound."""
+    w = free_reduce(w)
+    allowed = set(pres.relators) | {inverse(r) for r in pres.relators}
+    thetas = [t for t, _ in res.witness.factors]
+    assert len(thetas) == res.value
+    assert all(r in allowed for _, r in res.witness.factors)
+    assert mul(*(inverse(t) + r + t for t, r in res.witness.factors)) == w
+    ends = [""] + thetas + [""]
+    noise = sum(len(mul(a, inverse(b))) for a, b in zip(ends, ends[1:]))
+    assert noise <= res.value * pres.max_relator_length + len(w)
+
+
+def _winding_area(w):
+    """Sum of |winding number| over the unit squares, by vertical ray casting.
+
+    The winding number of the square with lower-left corner (x, y) is the
+    signed count of horizontal edges crossing the ray from its centre
+    straight up: a leftward edge above it counts +1, a rightward one -1.
+    """
+    x = y = 0
+    edges = []
+    for c in w:
+        if c in "aA":
+            dx = 1 if c == "a" else -1
+            edges.append((min(x, x + dx), y, -dx))
+            x += dx
+        else:
+            y += 1 if c == "b" else -1
+    cols = {ex for ex, _, _ in edges}
+    rows = [ey for _, ey, _ in edges]
+    total = 0
+    for cx in cols:
+        for cy in range(min(rows), max(rows)):
+            total += abs(sum(s for ex, ey, s in edges if ex == cx and ey > cy))
+    return total
+
+
+def test_area_exhaustive_z2():
+    # every nonempty word of length <= 10 trivial in Z^2: the area is
+    # the sum of |winding numbers| of its lattice path
+    trivial = [w for w in reduced_words("ab", 10)
+               if w and exponent_vector(w, "ab") == (0, 0)]
+    assert len(trivial) == 2600
+    for w in trivial:
+        res = area_bounded(w, None, Z2)
+        assert res.value == _winding_area(w), w
+        _check_witness(w, res, Z2)
+
+
+def test_area_cyclic_core():
+    # a conjugated word is searched on its cyclic core, and the witness
+    # conjugators absorb the stripped tail
+    cases = [
+        (Z2, "aabbAABB"), (Z2, "abAB"), (Z2, "abABabAB"),
+        (Z, "AAAbababaB"), (G2, "abABcdCDabABcdCD"),
+        (ZA3, "aabAABaaa"),
+    ]
+    for pres, core in cases:
+        base = area_bounded(core, None, pres)
+        tails = [t for t in reduced_words(pres.generators, 3)
+                 if t and is_reduced(inverse(t) + core + t)]
+        assert tails
+        for tail in tails[::7]:
+            w = inverse(tail) + core + tail
+            res = area_bounded(w, None, pres)
+            assert res.value == base.value, (core, tail)
+            assert res.states == base.states
+            _check_witness(w, res, pres)
+
+
+def test_area_noise_regression_over_z():
+    # with L = 1 the noise bound m + |w| leaves little slack, and
+    # shortest insertion paths can miss it (for the last two words, the
+    # first path found does); the search keeps popping states of the
+    # optimal depth until a witness meets the bound
+    for w, m in (("AAAbababaB", 4), ("abAAABaBBa", 4), ("aaBBBABBAb", 6)):
+        res = area_bounded(w, None, Z)
+        assert res.value == m
+        _check_witness(w, res, Z)
+
+
+def test_area_matches_brute_force_small():
+    rng = random.Random(4)
+    inserts = [r for r in G2.relators] + [inverse(r) for r in G2.relators]
+    for _ in range(40):
+        w = ""
+        for _ in range(rng.randint(1, 2)):
+            theta = random_reduced_word(rng, G2.generators, rng.randint(0, 1))
+            w = mul(w, inverse(theta), rng.choice(inserts), theta)
+        res = area_bounded(w, 2, G2)
+        assert res.value == brute_area(w, G2, max_moves=2), w
+        if res.value:
+            _check_witness(w, res, G2)
+    for _ in range(40):
+        w = random_reduced_word(rng, G2.generators, rng.choice((4, 6)))
+        if any(exponent_vector(w, G2.generators)):
+            continue
+        assert area_bounded(w, 2, G2).value == brute_area(w, G2, max_moves=2), w
+    for w in reduced_words("ab", 7):
+        a, b = exponent_vector(w, "ab")
+        if a % 3 or b:
+            continue
+        res = area_bounded(w, 3, ZA3)
+        assert res.value == brute_area(w, ZA3, max_moves=3), w
+        if res.value:
+            _check_witness(w, res, ZA3)
 
 
 def test_witness_invariants():

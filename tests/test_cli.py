@@ -87,10 +87,16 @@ def test_perturb_lines(capsys):
     assert code == 0 and out == ["EXCEPTIONAL 1"]
 
 
-def test_perturb_exhaustion_is_unknown(capsys):
-    # single-generator quotient: every candidate stays a proper power
-    code, out, _ = run(capsys, ["perturb", "-p", Z3, "-w", "A"])
+def test_perturb_exhaustion_is_unknown(capsys, tmp_path):
+    # single-generator quotient: every candidate stays a proper power,
+    # and so does the minimal representative aa of a^2 in Z/5
+    z5 = tmp_path / "z5.txt"
+    z5.write_text("generators: a\nrelators: aaaaa\n")
+    code, out, _ = run(capsys, ["perturb", "-p", str(z5), "-w", "aa"])
     assert code == 2 and out[0].startswith("UNKNOWN")
+    # in Z/3 the minimal representative A is no proper power: kept, K=0
+    code, out, _ = run(capsys, ["perturb", "-p", Z3, "-w", "A"])
+    assert code == 0 and out == ["PERTURBED A K=0"]
 
 
 def test_root_line(capsys):

@@ -98,7 +98,23 @@ def test_power_avoid_explicit_witness():
 
 def test_power_avoid_rank_one_exhausts():
     # over a single generator every word of length >= 2 is a proper
-    # power, so no perturbation exponent can ever succeed
-    setup, strat = setup_for(Z3)
+    # power, so no perturbation exponent can ever succeed, and the
+    # minimal representative aa of a^2 in Z/5 is itself a proper power
+    setup, strat = setup_for(Presentation("a", ("aaaaa",)))
     with pytest.raises(KMaxExhausted):
-        power_avoid("A", PerturbConfig(), setup, strat)
+        power_avoid("aa", PerturbConfig(), setup, strat)
+
+
+def test_power_avoid_keeps_primitive_minimal_rep():
+    # every candidate a^(3k +- 1) is a proper power, but the minimal
+    # representative a or A already is not one: it comes back with k = 0
+    cases = [(Z3, w, w0) for w, w0 in (("a", "a"), ("A", "A"), ("aa", "A"), ("AAAA", "A"))]
+    cases += [(Presentation("ab", ("aaa", "abAB")), w, w0)
+              for w, w0 in (("a", "a"), ("A", "A"), ("bAAB", "a"), ("aaaaa", "A"))]
+    for pres, w, w0 in cases:
+        setup, strat = setup_for(pres)
+        res = power_avoid(w, PerturbConfig(), setup, strat)
+        assert res.perturbed and res.k == 0
+        assert res.word == res.base_rep == w0
+        assert res.image_certificate.yes
+        assert q_equal(res.word, w, pres, strat).yes
