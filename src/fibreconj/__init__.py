@@ -2,163 +2,46 @@
 
 Free-group arithmetic, van Kampen area machinery, certified word and
 power problem strategies, conjugacy in the fibre product P < F x F, and
-independent brute-force oracles for cross-checking.
+independent brute-force oracles for cross-checking.  The names below
+are the documented API; everything else is reached through its module.
 """
 
-from .abelian import AbelianModel, abelian_model, minimal_power, power_solutions
-from .area import (
-    AreaResult,
-    Presentation,
-    VanKampenProduct,
-    area_bounded,
-    dehn_function,
-    evaluate_vk_product,
-    rel_cyclics_dehn,
-)
-from .brute import (
-    BruteConjugacy,
-    RandomInstance,
-    brute_area,
-    brute_p_conjugacy,
-    brute_power,
-    brute_primitive_root,
-    random_instances,
-)
-from .decisions import Decision, OracleUnknown, PowerDecision, Verdict
+from .area import Presentation, area_bounded, dehn_function
+from .brute import brute_area, brute_p_conjugacy, brute_primitive_root
+from .decisions import Verdict
 from .oracle import (
-    StrategySpec,
     auto_strategy,
-    certified_abelian,
-    check_c16,
     check_decision,
     check_power_decision,
-    dehn_greedy,
-    dehn_greedy_trace,
     make_strategy,
     power_decide,
-    q_equal,
     replay_dehn_trace,
     wp_decide,
 )
-from .perturb import (
-    KMaxExhausted,
-    PerturbConfig,
-    PerturbResult,
-    SearchBudgetExceeded,
-    kernel_witness,
-    minimal_q_rep,
-    power_avoid,
-)
-from .subdirect import (
-    ConjugacyResult,
-    ConjugacyTrace,
-    PairElement,
-    SubdirectSetup,
-    canonical_setup,
-    p_conjugacy,
-    p_membership,
-    pair_conjugate,
-    pair_inverse,
-    pair_mul,
-    replay_trace,
-    validate_pair,
-)
-from .words import (
-    RootDecomposition,
-    conjugate,
-    cyclic_core,
-    cyclic_reduce,
-    exponent_vector,
-    free_conjugator,
-    free_reduce,
-    inverse,
-    is_proper_power,
-    is_reduced,
-    letter_key,
-    mul,
-    parse_word,
-    power,
-    primitive_root,
-    random_reduced_word,
-    reduced_words,
-    rotations,
-    validate_word,
-    word_str,
-)
+from .perturb import PerturbConfig, power_avoid
+from .subdirect import canonical_setup, p_conjugacy, replay_trace
+from .words import exponent_vector, reduced_words
 
 __all__ = [
-    "AbelianModel",
-    "AreaResult",
-    "BruteConjugacy",
-    "ConjugacyResult",
-    "ConjugacyTrace",
-    "Decision",
-    "KMaxExhausted",
-    "OracleUnknown",
-    "PairElement",
     "PerturbConfig",
-    "PerturbResult",
-    "PowerDecision",
     "Presentation",
-    "RandomInstance",
-    "RootDecomposition",
-    "SearchBudgetExceeded",
-    "StrategySpec",
-    "SubdirectSetup",
-    "VanKampenProduct",
     "Verdict",
-    "abelian_model",
     "area_bounded",
     "auto_strategy",
     "brute_area",
     "brute_p_conjugacy",
-    "brute_power",
     "brute_primitive_root",
     "canonical_setup",
-    "certified_abelian",
-    "check_c16",
     "check_decision",
     "check_power_decision",
-    "conjugate",
-    "cyclic_core",
-    "cyclic_reduce",
     "dehn_function",
-    "dehn_greedy",
-    "dehn_greedy_trace",
-    "evaluate_vk_product",
     "exponent_vector",
-    "free_conjugator",
-    "free_reduce",
-    "inverse",
-    "is_proper_power",
-    "is_reduced",
-    "kernel_witness",
-    "letter_key",
     "make_strategy",
-    "minimal_power",
-    "minimal_q_rep",
-    "mul",
     "p_conjugacy",
-    "p_membership",
-    "pair_conjugate",
-    "pair_inverse",
-    "pair_mul",
-    "parse_word",
-    "power",
     "power_avoid",
     "power_decide",
-    "power_solutions",
-    "primitive_root",
-    "q_equal",
-    "random_instances",
-    "random_reduced_word",
     "reduced_words",
-    "rel_cyclics_dehn",
     "replay_dehn_trace",
     "replay_trace",
-    "rotations",
-    "validate_pair",
-    "validate_word",
     "wp_decide",
-    "word_str",
 ]

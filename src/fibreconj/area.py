@@ -9,7 +9,7 @@ Dehn function and its rel-cyclics variant on desk-scale inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from typing import NamedTuple
@@ -503,6 +503,26 @@ def _class_key(w: str) -> str:
     return min(cands)
 
 
+def _area_lookup(pres: Presentation):
+    """area_of(v) for certified-trivial words v, memoized per class for one call.
+
+    The memo lives as long as the returned function, so it never
+    outlives the Dehn-function computation that made it.
+    """
+    memo: dict[str, int] = {}
+
+    def area_of(v: str) -> int:
+        key = _class_key(v)
+        if key not in memo:
+            res = area_bounded(key, None, pres)
+            if res.value is None:
+                raise AssertionError(f"no product found for certified-trivial {key!r}")
+            memo[key] = res.value
+        return memo[key]
+
+    return area_of
+
+
 def dehn_function(n: int, pres: Presentation, wp) -> int:
     """Largest area among words of length at most n that are trivial in Q.
 
@@ -513,21 +533,14 @@ def dehn_function(n: int, pres: Presentation, wp) -> int:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    cache: dict[str, int] = {}
+    area_of = _area_lookup(pres)
     best = 0
     for w in reduced_words(pres.generators, n):
         dec = wp(w)
         if dec.unknown:
             raise OracleUnknown(f"word problem oracle undecided on {w!r}")
-        if not dec.yes:
-            continue
-        key = _class_key(w)
-        if key not in cache:
-            res = area_bounded(key, None, pres)
-            if res.value is None:
-                raise AssertionError(f"no product found for certified-trivial {key!r}")
-            cache[key] = res.value
-        best = max(best, cache[key])
+        if dec.yes:
+            best = max(best, area_of(w))
     return best
 
 
@@ -542,20 +555,9 @@ def rel_cyclics_dehn(n: int, pres: Presentation, pp, wp) -> int:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    cache: dict[str, int] = {}
-
-    def area_of(v: str) -> int:
-        key = _class_key(v)
-        if key not in cache:
-            res = area_bounded(key, None, pres)
-            if res.value is None:
-                raise AssertionError(f"no product found for certified-trivial {key!r}")
-            cache[key] = res.value
-        return cache[key]
-
+    area_of = _area_lookup(pres)
     best = 0
-    words_w = list(reduced_words(pres.generators, n))
-    for w in words_w:
+    for w in reduced_words(pres.generators, n):
         for u in reduced_words(pres.generators, n - len(w)):
             pd = pp(w, u)
             if pd.unknown:

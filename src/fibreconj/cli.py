@@ -32,7 +32,7 @@ from .perturb import (
     SearchBudgetExceeded,
     power_avoid,
 )
-from .subdirect import PairElement, canonical_setup, p_conjugacy, p_membership
+from .subdirect import canonical_setup, p_conjugacy, p_membership
 from .words import (
     free_conjugator,
     free_reduce,
@@ -528,10 +528,7 @@ def main(argv=None) -> int:
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (KMaxExhausted, SearchBudgetExceeded) as exc:
-        print(f"UNKNOWN {exc}")
-        return 2
-    except OracleUnknown as exc:
+    except (KMaxExhausted, SearchBudgetExceeded, OracleUnknown) as exc:
         print(f"UNKNOWN {exc}")
         return 2
     except ValueError as exc:

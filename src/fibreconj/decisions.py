@@ -17,50 +17,44 @@ class Verdict(Enum):
     NO = "no"
     UNKNOWN = "unknown"
 
+
+class Verdicted:
+    """The yes/no/unknown views of a result's verdict field.
+
+    A plain base, not a dataclass: it adds no field, so the results
+    built on it keep their field order, positional construction and repr.
+    """
+
+    verdict: Verdict
+
     @property
-    def is_definite(self) -> bool:
-        return self is not Verdict.UNKNOWN
+    def yes(self) -> bool:
+        return self.verdict is Verdict.YES
+
+    @property
+    def no(self) -> bool:
+        return self.verdict is Verdict.NO
+
+    @property
+    def unknown(self) -> bool:
+        return self.verdict is Verdict.UNKNOWN
 
 
 @dataclass(frozen=True)
-class Decision:
+class Decision(Verdicted):
     """Answer to a single word-problem style query."""
 
     verdict: Verdict
     certificate: Any = None
 
-    @property
-    def yes(self) -> bool:
-        return self.verdict is Verdict.YES
-
-    @property
-    def no(self) -> bool:
-        return self.verdict is Verdict.NO
-
-    @property
-    def unknown(self) -> bool:
-        return self.verdict is Verdict.UNKNOWN
-
 
 @dataclass(frozen=True)
-class PowerDecision:
+class PowerDecision(Verdicted):
     """Answer to "is w a power of u": Yes carries the exponent."""
 
     verdict: Verdict
     p: int | None = None
     certificate: Any = None
-
-    @property
-    def yes(self) -> bool:
-        return self.verdict is Verdict.YES
-
-    @property
-    def no(self) -> bool:
-        return self.verdict is Verdict.NO
-
-    @property
-    def unknown(self) -> bool:
-        return self.verdict is Verdict.UNKNOWN
 
 
 class OracleUnknown(Exception):

@@ -55,21 +55,23 @@ class StrategySpec:
 
 def make_strategy(pres: Presentation, kind: str, budget: int = 1_000_000) -> StrategySpec:
     """Validate the strategy/presentation pairing and fix the exactness flag."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown strategy {kind!r}")
     if budget <= 0:
         raise ValueError("budget must be positive")
-    if kind == FREE:
-        if pres.relators:
-            raise ValueError("free strategy requires an empty relator set")
-        return StrategySpec(FREE, budget, True)
-    if kind == ABELIAN:
-        return StrategySpec(ABELIAN, budget, certified_abelian(pres))
-    if kind == DEHN:
-        if not check_c16(pres):
-            raise ValueError("greedy rewriting requires the C'(1/6) condition")
-        return StrategySpec(DEHN, budget, True)
-    return StrategySpec(SEARCH, budget, False)
+    exact = certified_abelian(pres) if kind == ABELIAN else kind in (FREE, DEHN)
+    _check_pairing(pres, kind, exact)
+    return StrategySpec(kind, budget, exact)
+
+
+def _check_pairing(pres: Presentation, kind: str, exact: bool) -> None:
+    """The one rule for whether a strategy fits a presentation; ValueError if not."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown strategy {kind!r}")
+    if kind == FREE and pres.relators:
+        raise ValueError("free strategy requires an empty relator set")
+    if kind == DEHN and not check_c16(pres):
+        raise ValueError("greedy rewriting requires the C'(1/6) condition")
+    if kind == ABELIAN and exact and not certified_abelian(pres):
+        raise ValueError("an exact abelian strategy requires a certifiably abelian presentation")
 
 
 def auto_strategy(pres: Presentation, budget: int = 1_000_000) -> StrategySpec:
@@ -267,22 +269,13 @@ def _model(pres: Presentation) -> AbelianModel:
     return abelian_model(pres.generators, pres.relators)
 
 
-def _check_pairing(pres: Presentation, strat: StrategySpec) -> None:
-    if strat.kind not in KINDS:
-        raise ValueError(f"unknown strategy {strat.kind!r}")
-    if strat.kind == FREE and pres.relators:
-        raise ValueError("free strategy requires an empty relator set")
-    if strat.kind == DEHN and not check_c16(pres):
-        raise ValueError("greedy rewriting requires the C'(1/6) condition")
-
-
 def wp_decide(w: str, pres: Presentation, strat: StrategySpec) -> Decision:
     """Decide whether w represents the identity in Q.
 
     Yes/No always carry certificates; a non-exact strategy returns
     Unknown where its theory cannot speak.
     """
-    _check_pairing(pres, strat)
+    _check_pairing(pres, strat.kind, strat.exactness_claim)
     validate_word(w, pres.generators)
     w = free_reduce(w)
 
@@ -332,7 +325,7 @@ def power_decide(
     when supplied, must be a certified bound on that least |p|; it turns
     scan exhaustion into a definite No.
     """
-    _check_pairing(pres, strat)
+    _check_pairing(pres, strat.kind, strat.exactness_claim)
     validate_word(w, pres.generators)
     validate_word(u, pres.generators)
     w = free_reduce(w)

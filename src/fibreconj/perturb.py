@@ -44,10 +44,8 @@ class PerturbConfig:
     """
 
     threshold: int = 1
-    k_start: int = 1
     k_max: int = 8
     kernel_witness: str | None = None
-    ball_budget: int = 500_000
 
 
 @dataclass(frozen=True)
@@ -137,18 +135,18 @@ def power_avoid(
     cfg.k_max raises rather than returning a silently unusable word.
     """
     pres = setup.pres
-    w0 = minimal_q_rep(w, setup, strat, budget=cfg.ball_budget)
+    w0 = minimal_q_rep(w, setup, strat)
     if len(w0) < cfg.threshold:
         cert = q_equal(w0, w, pres, strat)
         return PerturbResult("exceptional", w0, w0, None, cert)
 
     witness = cfg.kernel_witness
     if witness is None:
-        witness = kernel_witness(setup, strat, budget=cfg.ball_budget)
+        witness = kernel_witness(setup, strat)
     if not wp_decide(witness, pres, strat).yes:
         raise ValueError("supplied kernel witness is not trivial in Q")
 
-    for k in range(cfg.k_start, cfg.k_max + 1):
+    for k in range(1, cfg.k_max + 1):
         cand = mul(w0, power(witness, k))
         if cand == "" or is_proper_power(cand):
             continue

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .area import Presentation
-from .decisions import Decision, PowerDecision, Verdict
+from .decisions import Decision, PowerDecision, Verdict, Verdicted
 from .oracle import StrategySpec, power_decide, q_equal
 from .words import (
     free_conjugator,
@@ -118,29 +118,22 @@ class ConjugacyTrace:
 
 
 @dataclass(frozen=True)
-class ConjugacyResult:
+class ConjugacyResult(Verdicted):
     verdict: Verdict
     conjugator: PairElement | None
     trace: ConjugacyTrace
 
-    @property
-    def yes(self) -> bool:
-        return self.verdict is Verdict.YES
 
-    @property
-    def no(self) -> bool:
-        return self.verdict is Verdict.NO
-
-    @property
-    def unknown(self) -> bool:
-        return self.verdict is Verdict.UNKNOWN
+def _main_conjugator(trace: ConjugacyTrace, j: int, p: int) -> PairElement:
+    """(z1^p * w * w2, z2^j * w2): the main-branch conjugator for the pair (j, p)."""
+    zeta = PairElement(mul(power(trace.z1, p), trace.w), power(trace.z2, j))
+    return pair_mul(zeta, PairElement(trace.w2, trace.w2))
 
 
 def _finish(U, V, gamma, trace, setup, strat) -> ConjugacyResult:
     """Exact verification of a candidate conjugator, then membership."""
-    for i in (0, 1):
-        if free_reduce(inverse(gamma[i]) + U[i] + gamma[i]) != V[i]:
-            raise AssertionError("constructed conjugator fails exact verification")
+    if pair_conjugate(U, gamma) != V:
+        raise AssertionError("constructed conjugator fails exact verification")
     member = p_membership(gamma, setup, strat)
     if member.no:
         raise AssertionError("constructed conjugator escaped P")
@@ -199,48 +192,22 @@ def p_conjugacy(U, V, setup: SubdirectSetup, strat: StrategySpec) -> ConjugacyRe
     z2, e2 = r2.root, r2.exponent
 
     queries: list[PowerQuery] = []
+    winner = None
     saw_unknown = False
     for j in range(e2):
         tgt = mul(power(z2, j), inverse(w))
         pd: PowerDecision = power_decide(tgt, z1, setup.pres, strat)
         queries.append(PowerQuery(j, tgt, pd.verdict, pd.p))
         if pd.yes:
-            p = pd.p
-            zeta = PairElement(mul(power(z1, p), w), power(z2, j))
-            gamma = pair_mul(zeta, PairElement(w2, w2))
-            trace = ConjugacyTrace(
-                branch="main",
-                x1=x1,
-                x2=x2,
-                w2=w2,
-                w=w,
-                z1=z1,
-                e1=e1,
-                z2=z2,
-                e2=e2,
-                queries=tuple(queries),
-                winner=(j, p),
-            )
-            return _finish(U, V, gamma, trace, setup, strat)
+            winner = (j, pd.p)
+            break
         if pd.unknown:
             saw_unknown = True
 
-    trace = ConjugacyTrace(
-        branch="main",
-        x1=x1,
-        x2=x2,
-        w2=w2,
-        w=w,
-        z1=z1,
-        e1=e1,
-        z2=z2,
-        e2=e2,
-        queries=tuple(queries),
-        winner=None,
-    )
-    if saw_unknown:
-        return ConjugacyResult(Verdict.UNKNOWN, None, trace)
-    return ConjugacyResult(Verdict.NO, None, trace)
+    trace = ConjugacyTrace("main", x1, x2, w2, w, z1, e1, z2, e2, tuple(queries), winner)
+    if winner is not None:
+        return _finish(U, V, _main_conjugator(trace, *winner), trace, setup, strat)
+    return ConjugacyResult(Verdict.UNKNOWN if saw_unknown else Verdict.NO, None, trace)
 
 
 def replay_trace(result: ConjugacyResult, U, V, setup: SubdirectSetup, strat: StrategySpec) -> bool:
@@ -255,10 +222,7 @@ def replay_trace(result: ConjugacyResult, U, V, setup: SubdirectSetup, strat: St
     U = validate_pair(U, setup.pres.generators)
     V = validate_pair(V, setup.pres.generators)
     gamma = result.conjugator
-    for i in (0, 1):
-        if free_reduce(inverse(gamma[i]) + U[i] + gamma[i]) != V[i]:
-            return False
-    if not p_membership(gamma, setup, strat).yes:
+    if pair_conjugate(U, gamma) != V or not p_membership(gamma, setup, strat).yes:
         return False
     trace = result.trace
     if trace.branch in ("deg-first", "deg-second"):
@@ -273,8 +237,4 @@ def replay_trace(result: ConjugacyResult, U, V, setup: SubdirectSetup, strat: St
     if recorded is None or recorded.target != tgt or recorded.p != p:
         return False
     check = q_equal(tgt, power(trace.z1, p), setup.pres, strat)
-    if not check.yes:
-        return False
-    zeta = PairElement(mul(power(trace.z1, p), trace.w), power(trace.z2, j))
-    rebuilt = pair_mul(zeta, PairElement(trace.w2, trace.w2))
-    return rebuilt == gamma
+    return check.yes and _main_conjugator(trace, j, p) == gamma

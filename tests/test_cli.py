@@ -50,6 +50,19 @@ def test_conj_positive_with_trace(capsys):
     assert any(line.startswith("branch:") for line in out)
 
 
+def test_power_certificate_lines(capsys):
+    code, out, _ = run(capsys, ["power", "-p", Z, "-w", "aaa", "-u", "a", "--show-certificate"])
+    assert code == 0 and out[1] == (
+        "certificate: ('power', 3, Decision(verdict=<Verdict.YES: 'yes'>, "
+        "certificate=('abelian', (0, 0), (1, 0))))"
+    )
+    code, out, _ = run(capsys, ["power", "-p", G2, "-w", "ab", "-u", "a", "--show-certificate"])
+    assert code == 1 and out[1] == (
+        "certificate: ('commutator', Decision(verdict=<Verdict.NO: 'no'>, "
+        "certificate=('dehn', (), 'abaBAA')))"
+    )
+
+
 def test_wp_verdicts(capsys):
     code, out, _ = run(capsys, ["wp", "-p", Z, "-w", "b"])
     assert code == 0 and out == ["YES"]

@@ -73,6 +73,17 @@ def test_strategy_pairing_errors():
         make_strategy(Z2, "abelian", budget=0)
     assert make_strategy(FREE, "free").exactness_claim
     assert make_strategy(G2, "abelian").exactness_claim is False
+    # a spec is checked against the presentation of every query it serves
+    exact_abelian = make_strategy(Z2, "abelian")
+    with pytest.raises(ValueError):
+        wp_decide("abAB", G2, exact_abelian)
+    with pytest.raises(ValueError):
+        power_decide("abAB", "a", G2, exact_abelian)
+    with pytest.raises(ValueError):
+        wp_decide("ab", Z2, make_strategy(FREE, "free"))
+    with pytest.raises(ValueError):
+        wp_decide("ab", Z2, make_strategy(G2, "dehn"))
+    assert wp_decide("abAB", G2, make_strategy(G2, "abelian")).unknown
 
 
 def test_dehn_greedy_examples():
