@@ -296,7 +296,7 @@ def area_bounded(
     w: str,
     maxM: int | None,
     pres: Presentation,
-    state_budget: int | None = None,
+    state_budget: int | None = 100_000,
 ) -> AreaResult:
     """Least-area product for w among products with at most maxM factors.
 
@@ -309,10 +309,11 @@ def area_bounded(
     Every conjugator of the witness is right-multiplied by t; the
     witness is checked to evaluate back to w and to meet the noise bound
     m*L + |w|, and states with f = m are popped until one does.
-    maxM = None searches without an area cap (the caller must know w is
-    trivial in Q).  A state budget, when given, is checked after every
-    expansion and turns an oversized search into a budget_exhausted
-    result.
+    maxM = None searches without an area cap.  The state budget is
+    checked after every expansion and turns an oversized search into a
+    budget_exhausted result; without it a search for a nontrivial word
+    with zero exponent sum never ends, so only a caller that knows w is
+    trivial in Q should pass None.
     """
     if maxM is not None and maxM < 0:
         raise ValueError("maxM must be nonnegative")
@@ -514,7 +515,7 @@ def _area_lookup(pres: Presentation):
     def area_of(v: str) -> int:
         key = _class_key(v)
         if key not in memo:
-            res = area_bounded(key, None, pres)
+            res = area_bounded(key, None, pres, state_budget=None)
             if res.value is None:
                 raise AssertionError(f"no product found for certified-trivial {key!r}")
             memo[key] = res.value

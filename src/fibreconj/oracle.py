@@ -311,19 +311,11 @@ def q_equal(u: str, v: str, pres: Presentation, strat: StrategySpec) -> Decision
     return wp_decide(mul(u, inverse(v)), pres, strat)
 
 
-def power_decide(
-    w: str,
-    u: str,
-    pres: Presentation,
-    strat: StrategySpec,
-    power_bound: int | None = None,
-) -> PowerDecision:
+def power_decide(w: str, u: str, pres: Presentation, strat: StrategySpec) -> PowerDecision:
     """Decide whether w = u^p in Q for some integer p, reporting minimal |p|.
 
     The scan order 0, +1, -1, +2, -2, ... makes the reported exponent
-    the least in absolute value, ties to the positive one.  power_bound,
-    when supplied, must be a certified bound on that least |p|; it turns
-    scan exhaustion into a definite No.
+    the least in absolute value, ties to the positive one.
     """
     _check_pairing(pres, strat.kind, strat.exactness_claim)
     validate_word(w, pres.generators)
@@ -363,7 +355,7 @@ def power_decide(
             raise AssertionError("abelian power solution failed its own check")
         return PowerDecision(Verdict.YES, p, ("power", p, dec))
 
-    return _power_by_scan(w, u, pres, strat, power_bound)
+    return _power_by_scan(w, u, pres, strat)
 
 
 def _scan_order(limit: int):
@@ -373,14 +365,14 @@ def _scan_order(limit: int):
         yield -k
 
 
-def _power_by_scan(w, u, pres, strat, power_bound) -> PowerDecision:
+def _power_by_scan(w, u, pres, strat) -> PowerDecision:
     """Power decision by direct exponent scan with sound No routes.
 
     No is reached through a non-commuting obstruction, through a
-    certified finite order of u, or through exhaustion of a supplied
-    certified exponent bound; everything else inconclusive is Unknown.
-    An order No carries the Yes decision for u^k and the No decisions
-    of the scan, an exhaustion No the No decisions of the scan.
+    trivial u with a nontrivial w, or through a certified finite order
+    of u; everything else inconclusive is Unknown.  A trivial-u No
+    carries the Yes decision for u and the No decision for w, an order
+    No the Yes decision for u^k and the No decisions of the scan.
     """
     exact = strat.exactness_claim
 
@@ -394,7 +386,7 @@ def _power_by_scan(w, u, pres, strat, power_bound) -> PowerDecision:
         if dw.yes:
             return PowerDecision(Verdict.YES, 0, ("power", 0, dw))
         if dw.no:
-            return PowerDecision(Verdict.NO, None, ("trivial-u", dw))
+            return PowerDecision(Verdict.NO, None, ("trivial-u", ut, dw))
         return PowerDecision(Verdict.UNKNOWN, None, ("budget", "undecided w with trivial u"))
 
     order = None
@@ -405,7 +397,7 @@ def _power_by_scan(w, u, pres, strat, power_bound) -> PowerDecision:
                 order = k
                 break
 
-    limit = power_bound if power_bound is not None else _POWER_SCAN_DEFAULT
+    limit = _POWER_SCAN_DEFAULT
     if order is not None:
         limit = max(limit, (order + 1) // 2 + 1)
     saw_unknown = False
@@ -419,121 +411,106 @@ def _power_by_scan(w, u, pres, strat, power_bound) -> PowerDecision:
         scanned.append((p, dec))
         if order is not None and p >= (order + 1) // 2 and -p <= -(order // 2):
             break
-    if not saw_unknown:
-        if order is not None:
-            return PowerDecision(Verdict.NO, None, ("order", order, dk, tuple(scanned)))
-        if power_bound is not None:
-            return PowerDecision(Verdict.NO, None, ("exhausted", power_bound, tuple(scanned)))
+    if order is not None and not saw_unknown:
+        return PowerDecision(Verdict.NO, None, ("order", order, dk, tuple(scanned)))
     return PowerDecision(Verdict.UNKNOWN, None, ("budget", f"scanned |p| <= {limit}"))
 
 
 # --- certificate checking -------------------------------------------------
 
 def check_decision(dec: Decision, w: str, pres: Presentation) -> bool:
-    """Independently validate a word-problem certificate against w."""
+    """Independently validate a word-problem certificate against w.
+
+    Each case matches one whole certificate shape together with the
+    verdict it may back; any other decision is rejected.
+    """
     w = free_reduce(w)
-    cert = dec.certificate
-    if dec.unknown:
-        return True
-    kind = cert[0]
-    if kind == "free":
-        return cert[1] == w and (dec.yes == (w == ""))
-    if kind == "abelian":
-        # zero residues prove w = 1 only when Q is certifiably abelian
-        if dec.yes and not certified_abelian(pres):
-            return False
-        model = _model(pres)
-        residues = model.residues(w)
-        return residues == cert[1] and (dec.yes == (not any(residues)))
-    if kind == "dehn":
-        try:
-            terminal = replay_dehn_trace(w, cert[1], pres)
-        except (KeyError, ValueError):  # a step names no rotation or does not match
-            return False
-        return terminal == cert[2] and (dec.yes == (terminal == ""))
-    if kind == "product":
-        prod = cert[1]
-        return (
-            dec.yes
-            and isinstance(prod, VanKampenProduct)
-            and evaluate_vk_product(prod, pres) == w
-        )
+    match dec:
+        case Decision(Verdict.UNKNOWN):
+            return True
+        case Decision(Verdict.YES, ("free", "")):
+            return w == ""
+        case Decision(Verdict.NO, ("free", str(reduced))) if not pres.relators:
+            return reduced == w != ""
+        case Decision(Verdict.YES | Verdict.NO, ("abelian", residues, moduli)) if (
+            dec.no or certified_abelian(pres)  # zero residues prove w = 1 only then
+        ):
+            model = _model(pres)
+            actual = model.residues(w)
+            return (residues, moduli) == (actual, model.moduli) and dec.yes != any(actual)
+        case Decision(Verdict.YES | Verdict.NO, ("dehn", tuple(steps), str(terminal))):
+            try:
+                replayed = replay_dehn_trace(w, steps, pres)
+            except (KeyError, TypeError, ValueError):  # a step names no rotation or does not fit
+                return False
+            if dec.yes:
+                return replayed == terminal == ""
+            # under C'(1/6) a nonempty word that no rewrite shortens is nontrivial
+            return (
+                replayed == terminal != ""
+                and check_c16(pres)
+                and dehn_greedy(terminal, pres) == terminal
+            )
+        case Decision(Verdict.YES, ("product", VanKampenProduct() as prod)):
+            try:
+                return evaluate_vk_product(prod, pres) == w
+            except (TypeError, ValueError):  # a factor that is no conjugated relator
+                return False
     return False
 
 
-def _refuted_exponents(scanned, w: str, u: str, pres: Presentation) -> set[int] | None:
-    """Exponents p whose recorded No for w = u^p checks out; None if any fails."""
-    refuted = set()
-    for p, dec in scanned:
-        if not (isinstance(dec, Decision) and dec.no):
-            return None
-        if not check_decision(dec, mul(w, inverse(power(u, p))), pres):
-            return None
-        refuted.add(p)
-    return refuted
-
-
 def check_power_decision(pd: PowerDecision, w: str, u: str, pres: Presentation) -> bool:
-    """Independently validate a power-problem certificate against (w, u)."""
+    """Independently validate a power-problem certificate against (w, u).
+
+    As in check_decision, each case matches one whole certificate shape
+    together with the verdict it may back; any other decision is rejected.
+    """
     w = free_reduce(w)
     u = free_reduce(u)
-    cert = pd.certificate
-    if pd.unknown:
-        return True
-    kind = cert[0]
-    if kind == "power":
-        p = cert[1]
-        inner = cert[2]
-        if p != pd.p or not pd.yes:
-            return False
-        if isinstance(inner, Decision):
-            word = mul(w, inverse(power(u, p)))
-            return inner.yes and check_decision(inner, word, pres)
-        # free strategy: exponent arithmetic reduces to plain cancellation
-        return not pres.relators and mul(w, inverse(power(u, p))) == ""
-    if kind == "roots":
-        if pres.relators or not pd.no:
-            return False
-        if cert[1] is None:
+    match pd:
+        case PowerDecision(Verdict.UNKNOWN):
+            return True
+        case PowerDecision(
+            Verdict.YES, int(p), ("power", q, Decision(Verdict.YES) as inner)
+        ) if q == p:
+            return check_decision(inner, mul(w, inverse(power(u, p))), pres)
+        case PowerDecision(Verdict.YES, int(p), ("power", q, ("roots", tuple()))) if (
+            q == p and not pres.relators
+        ):
+            # free strategy: exponent arithmetic reduces to plain cancellation
+            return mul(w, inverse(power(u, p))) == ""
+        case PowerDecision(Verdict.NO, None, ("roots", None)) if not pres.relators:
             return u == "" and w != ""
-        rw = primitive_root(w)
-        ru = primitive_root(u)
-        if (rw.root, rw.exponent, ru.root, ru.exponent) != cert[1]:
-            return False
-        fits = rw.exponent % ru.exponent == 0 and rw.root in (ru.root, inverse(ru.root))
-        return not fits
-    if kind == "lattice":
-        model = _model(pres)
-        return pd.no and power_solutions(model, w, u) is None
-    if kind == "commutator":
-        inner = cert[1]
-        return pd.no and inner.no and check_decision(inner, mul(w, u, inverse(w), inverse(u)), pres)
-    if kind == "order":
-        if not pd.no or len(cert) != 4:
-            return False
-        k, dk, scanned = cert[1:]
-        refuted = _refuted_exponents(scanned, w, u, pres)
-        # u^k = 1, so refuting one exponent per residue class mod k refutes them all
-        return (
-            isinstance(k, int)
-            and k >= 1
-            and isinstance(dk, Decision)
-            and dk.yes
-            and check_decision(dk, power(u, k), pres)
-            and refuted is not None
-            and {p % k for p in refuted} == set(range(k))
-        )
-    if kind == "exhausted":
-        if not pd.no or len(cert) != 3:
-            return False
-        bound, scanned = cert[1:]
-        refuted = _refuted_exponents(scanned, w, u, pres)
-        return (
-            isinstance(bound, int)
-            and refuted is not None
-            and refuted >= set(range(-bound, bound + 1))
-        )
-    if kind == "trivial-u":
-        inner = cert[1]
-        return pd.no and inner.no and check_decision(inner, w, pres)
+        case PowerDecision(Verdict.NO, None, ("roots", tuple(roots))) if (
+            not pres.relators and w and u
+        ):
+            rw = primitive_root(w)
+            ru = primitive_root(u)
+            fits = rw.exponent % ru.exponent == 0 and rw.root in (ru.root, inverse(ru.root))
+            return roots == (rw.root, rw.exponent, ru.root, ru.exponent) and not fits
+        case PowerDecision(Verdict.NO, None, ("lattice", cw, cu, moduli)):
+            model = _model(pres)
+            return (cw, cu, moduli) == (model.coords(w), model.coords(u), model.moduli) and (
+                power_solutions(model, w, u) is None
+            )
+        case PowerDecision(Verdict.NO, None, ("commutator", Decision(Verdict.NO) as comm)):
+            return check_decision(comm, mul(w, u, inverse(w), inverse(u)), pres)
+        case PowerDecision(
+            Verdict.NO, None, ("trivial-u", Decision(Verdict.YES) as ut, Decision(Verdict.NO) as dw)
+        ):
+            return check_decision(ut, u, pres) and check_decision(dw, w, pres)
+        case PowerDecision(
+            Verdict.NO, None, ("order", int(k), Decision(Verdict.YES) as dk, tuple(scanned))
+        ) if k >= 1:
+            # u^k = 1, so refuting one exponent per residue class mod k refutes them all
+            refuted = set()
+            for entry in scanned:
+                match entry:
+                    case (int(p), Decision(Verdict.NO) as dec) if check_decision(
+                        dec, mul(w, inverse(power(u, p))), pres
+                    ):
+                        refuted.add(p % k)
+                    case _:
+                        return False
+            return len(refuted) == k and check_decision(dk, power(u, k), pres)
     return False

@@ -213,28 +213,37 @@ def p_conjugacy(U, V, setup: SubdirectSetup, strat: StrategySpec) -> ConjugacyRe
 def replay_trace(result: ConjugacyResult, U, V, setup: SubdirectSetup, strat: StrategySpec) -> bool:
     """Re-derive a positive conjugacy result from its trace.
 
-    Recomputes the winning query from the recorded data, re-runs it,
-    rebuilds the conjugator, and re-verifies it exactly.  Returns False
-    on any mismatch.
+    Matches the whole result: a Yes whose conjugator takes U to V inside
+    P and, on the main branch, whose recorded winning query re-runs to
+    the same exponent and rebuilds the same conjugator.  Returns False
+    on any other result.
     """
-    if not result.yes or result.conjugator is None:
-        return False
     U = validate_pair(U, setup.pres.generators)
     V = validate_pair(V, setup.pres.generators)
-    gamma = result.conjugator
-    if pair_conjugate(U, gamma) != V or not p_membership(gamma, setup, strat).yes:
-        return False
-    trace = result.trace
-    if trace.branch in ("deg-first", "deg-second"):
-        return True
-    if trace.branch != "main" or trace.winner is None:
-        return False
-    j, p = trace.winner
-    if trace.z1 is None or trace.z2 is None or trace.w is None:
-        return False
-    tgt = mul(power(trace.z2, j), inverse(trace.w))
-    recorded = next((q for q in trace.queries if q.j == j), None)
-    if recorded is None or recorded.target != tgt or recorded.p != p:
-        return False
-    check = q_equal(tgt, power(trace.z1, p), setup.pres, strat)
-    return check.yes and _main_conjugator(trace, j, p) == gamma
+    match result:
+        case ConjugacyResult(
+            Verdict.YES, PairElement() as gamma, ConjugacyTrace(branch="deg-first" | "deg-second")
+        ):
+            return pair_conjugate(U, gamma) == V and p_membership(gamma, setup, strat).yes
+        case ConjugacyResult(
+            Verdict.YES,
+            PairElement() as gamma,
+            ConjugacyTrace(
+                branch="main",
+                w2=str(),
+                w=str(w),
+                z1=str(z1),
+                z2=str(z2),
+                queries=tuple(queries),
+                winner=(int(j), int(p)),
+            ) as trace,
+        ):
+            tgt = mul(power(z2, j), inverse(w))
+            return (
+                pair_conjugate(U, gamma) == V
+                and p_membership(gamma, setup, strat).yes
+                and PowerQuery(j, tgt, Verdict.YES, p) in queries
+                and q_equal(tgt, power(z1, p), setup.pres, strat).yes
+                and _main_conjugator(trace, j, p) == gamma
+            )
+    return False

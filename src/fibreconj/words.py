@@ -101,11 +101,6 @@ def rotate(w: str, k: int) -> str:
     return w[k:] + w[:k]
 
 
-def rotations(w: str) -> list[str]:
-    """All cyclic rotations of w, in offset order (may contain repeats)."""
-    return [rotate(w, k) for k in range(max(1, len(w)))]
-
-
 def cyclic_reduce(w: str) -> tuple[str, str]:
     """Split a reduced word as (core, tail) with w = tail^-1 * core * tail.
 

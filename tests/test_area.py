@@ -25,7 +25,7 @@ from fibreconj.words import (
     mul,
     random_reduced_word,
     reduced_words,
-    rotations,
+    rotate,
 )
 
 Z = Presentation("ab", ("b",))
@@ -117,6 +117,15 @@ def test_area_budget_per_expansion(monkeypatch):
         assert res.value is None and res.budget_exhausted
         longest = max(map(len, expanded))
         assert budget < res.states <= budget + (longest + 1) * strings
+
+
+def test_area_default_budget():
+    # ADCdcBAbaaabABcdCD has zero exponent sum but is nontrivial in the
+    # genus-2 group (one relator is reversed, not inverted), so without a
+    # budget the search would never end
+    res = area_bounded("ADCdcBAbaaabABcdCD", None, G2)
+    assert res.value is None and res.budget_exhausted
+    assert 100_000 < res.states <= 110_000
 
 
 def test_area_search_states():
@@ -265,7 +274,7 @@ def test_area_invariance(seed):
     # area is invariant under inversion and rotation
     assert area_bounded(inverse(w), None, Z2).value == a
     if w:
-        assert area_bounded(rotations(w)[len(w) // 2], None, Z2).value == a
+        assert area_bounded(rotate(w, len(w) // 2), None, Z2).value == a
 
 
 def test_dehn_function_values():

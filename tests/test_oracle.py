@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fibreconj.abelian import abelian_model
-from fibreconj.area import Presentation
+from fibreconj.area import Presentation, VanKampenProduct
 from fibreconj.decisions import Decision, PowerDecision, Verdict
 from fibreconj.oracle import (
     _marked_rotations,
@@ -24,7 +24,7 @@ from fibreconj.oracle import (
     replay_dehn_trace,
     wp_decide,
 )
-from fibreconj.words import free_reduce, inverse, mul, mul2, random_reduced_word, rotate
+from fibreconj.words import free_reduce, inverse, mul, mul2, power, random_reduced_word, rotate
 
 Z = Presentation("ab", ("b",))
 Z2 = Presentation("ab", ("abAB",))
@@ -279,42 +279,15 @@ def test_power_dehn_strategy():
     assert check_power_decision(pd, "b", "a", G2)
     pd = power_decide("A", "a", G2, s)
     assert pd.yes and pd.p == -1
-
-
-def test_power_bound_exhaustion():
-    s = auto_strategy(G2)
-    # a^9 is not a power of a within |p| <= 4; with a certified bound the
-    # scan exhaustion becomes a definite No
-    pd = power_decide("a" * 9, "aa", G2, s, power_bound=4)
-    assert pd.no and pd.certificate[0] == "exhausted"
-    assert check_power_decision(pd, "a" * 9, "aa", G2)
-    # without a bound the same scan stays agnostic beyond its default range
-    pd = power_decide("a" * 9, "aa", G2, s)
-    assert pd.unknown
-
-
-def test_forged_exhausted_no_is_rejected():
-    s = auto_strategy(G2)
-    real = power_decide("a" * 9, "aa", G2, s, power_bound=4)
-    _, bound, scanned = real.certificate
-    # a^8 = (aa)^4: no scan up to |p| <= 4 can refute it
-    w = "a" * 8
-    assert power_decide(w, "aa", G2, s, power_bound=4).yes
-    for cert in (
-        ("exhausted", 4),
-        ("exhausted", bound, scanned),
-        ("exhausted", 3, tuple((p, d) for p, d in scanned if abs(p) <= 3)),
-    ):
-        assert not check_power_decision(PowerDecision(Verdict.NO, None, cert), w, "aa", G2)
-    # the real evidence does not cover a larger bound
-    wider = PowerDecision(Verdict.NO, None, ("exhausted", 5, scanned))
-    assert not check_power_decision(wider, "a" * 9, "aa", G2)
+    # a^9 = (aa)^p has no solution, but the scan stops at |p| <= 8 and
+    # cannot tell
+    assert power_decide("a" * 9, "aa", G2, s).unknown
 
 
 def test_order_no_carries_evidence():
     # a has order 3 in Z x Z/3 and b is no power of it
     s = auto_strategy(ZXZ3)
-    pd = _power_by_scan("b", "a", ZXZ3, s, None)
+    pd = _power_by_scan("b", "a", ZXZ3, s)
     assert pd.no and pd.certificate[:2] == ("order", 3)
     assert check_power_decision(pd, "b", "a", ZXZ3)
     _, k, dk, scanned = pd.certificate
@@ -346,3 +319,183 @@ def test_power_trivial_base():
     assert check_power_decision(pd, "bbb", "b", Z)
     pd = power_decide("a", "b", Z, s)
     assert pd.no
+
+
+def test_malformed_certificates_are_rejected():
+    s = auto_strategy(G2)
+    dk = wp_decide("aaa", ZXZ3, auto_strategy(ZXZ3))
+    scanned = _power_by_scan("b", "a", ZXZ3, auto_strategy(ZXZ3)).certificate[3]
+    four = power_decide("aaaa", "a", G2, s)
+    words = [
+        (Decision(Verdict.YES, None), "abABcdCD", G2),
+        (Decision(Verdict.NO, ("dehn",)), "ab", G2),
+        (Decision(Verdict.NO, ("dehn", (None,), "ab")), "ab", G2),
+        (Decision(Verdict.YES, ("dehn", None, "")), "abABcdCD", G2),
+        (Decision(Verdict.NO, ("dehn", ((0, (0, 1, 0), "x"),), "ab")), "ab", G2),
+        (Decision(Verdict.YES, ("product", VanKampenProduct((("", "ab"),)))), "ab", Z2),
+        (Decision(Verdict.YES, ("product", VanKampenProduct(None))), "abAB", Z2),
+        (Decision(Verdict.YES, ("product", VanKampenProduct(((None, "abAB"),)))), "abAB", Z2),
+        (Decision(Verdict.YES, ("free",)), "", FREE),
+        (Decision(Verdict.NO, ("abelian",)), "a", Z2),
+        (Decision(Verdict.YES, ("abelian",)), "abAB", Z2),
+        (None, "ab", G2),
+        (power_decide("b", "a", G2, s), "b", G2),  # a power decision is no decision
+    ]
+    for dec, w, pres in words:
+        assert check_decision(dec, w, pres) is False, dec
+    no = Verdict.NO
+    powers = [
+        (PowerDecision(no, None, ("commutator", None)), "b", "a", G2),
+        (PowerDecision(Verdict.YES, 1, ("power",)), "a", "a", G2),
+        (PowerDecision(no, None, ("commutator", Decision(no, None))), "b", "a", G2),
+        (PowerDecision(no, None, ("trivial-u", "x")), "a", "abABcdCD", G2),
+        (PowerDecision(no, None, ("order", 3, None, None)), "b", "a", ZXZ3),
+        (PowerDecision(no, None, ("order", 3, dk, (1,))), "b", "a", ZXZ3),
+        (PowerDecision(no, None, ("order", 0, dk, ())), "b", "a", ZXZ3),
+        (PowerDecision(no, None, ("roots",)), "aba", "ab", FREE),
+        (PowerDecision(no, None, ("roots", ("a", 1, "", 0))), "a", "", FREE),
+        (PowerDecision(no, None, ("abelian",)), "ab", "b", Z),
+        (PowerDecision(no, None, ("lattice",)), "ab", "b", Z),
+        (PowerDecision(no, None, ("exhausted", 4, ())), "a" * 9, "aa", G2),
+        (PowerDecision(Verdict.YES, 2, ("power", 2, Decision(Verdict.YES, ("dehn", None, "")))),
+         "aa", "a", G2),
+        (PowerDecision(no, None, ("order", 3, dk, (("x", scanned[0][1]),))), "b", "a", ZXZ3),
+        # the exponent of a Yes and its recorded words must be the real ones
+        (PowerDecision(Verdict.YES, 4, ("power", 3, four.certificate[2])), "aaaa", "a", G2),
+        (PowerDecision(no, None, ("lattice", (), (), ())), "ab", "b", Z),
+    ]
+    for pd, w, u, pres in powers:
+        assert check_power_decision(pd, w, u, pres) is False, pd
+
+
+def test_forged_well_formed_certificates_are_rejected():
+    s = auto_strategy(G2)
+    # "trivial-u" must prove u = 1 as well as w != 1: a is a power of a
+    dw = wp_decide("a", G2, s)
+    for cert in (("trivial-u", dw), ("trivial-u", wp_decide("abABcdCD", G2, s), dw)):
+        assert not check_power_decision(PowerDecision(Verdict.NO, None, cert), "a", "a", G2)
+    real = power_decide("a", "abABcdCD", G2, s)
+    assert real.no and real.certificate[0] == "trivial-u"
+    assert check_power_decision(real, "a", "abABcdCD", G2)
+    # a commutator No needs a No for the commutator, a power Yes a Yes
+    trivial = wp_decide("", G2, s)
+    forged = PowerDecision(Verdict.NO, None, ("commutator", trivial))
+    assert not check_power_decision(forged, "a", "a", G2)
+    forged = PowerDecision(Verdict.YES, 1, ("power", 1, wp_decide("bA", G2, s)))
+    assert not check_power_decision(forged, "b", "a", G2)
+    # a free-group No says nothing once there are relators
+    assert not check_decision(Decision(Verdict.NO, ("free", "abABcdCD")), "abABcdCD", G2)
+    # a Dehn No must end in a word that no rewrite shortens: a truncated
+    # trace of a relator product does not
+    w = mul("c", "abABcdCD", "C")
+    assert wp_decide(w, G2, s).yes
+    assert not check_decision(Decision(Verdict.NO, ("dehn", (), w)), w, G2)
+    # a Dehn No is sound only under C'(1/6)
+    assert not check_decision(Decision(Verdict.NO, ("dehn", (), "abAB")), "abAB", Z2)
+
+
+def _real_certificates():
+    """One or two real decisions of every certificate tag, with the truth they certify.
+
+    Word entries are (Decision, w, pres); power entries are
+    (PowerDecision, w, u, pres).  Every presentation here has an exact
+    strategy, so the truth is the decision's own verdict.
+    """
+    search = make_strategy(Z2, "search", 100_000)
+    words = [
+        (wp_decide("abA", FREE, auto_strategy(FREE)), "abA", FREE),  # free
+        (wp_decide("aA", FREE, auto_strategy(FREE)), "aA", FREE),
+        (wp_decide("ab", Z2, auto_strategy(Z2)), "ab", Z2),  # abelian
+        (wp_decide("abAB", Z2, auto_strategy(Z2)), "abAB", Z2),
+        (wp_decide("cabABcdCDC", G2, auto_strategy(G2)), "cabABcdCDC", G2),  # dehn
+        (wp_decide("abc", G2, auto_strategy(G2)), "abc", G2),
+        (wp_decide("abAB", Z2, search), "abAB", Z2),  # product
+    ]
+    s = auto_strategy(G2)
+    powers = [
+        (power_decide("aaaa", "a", G2, s), "aaaa", "a", G2),  # power
+        (power_decide("abab", "ab", FREE, auto_strategy(FREE)), "abab", "ab", FREE),
+        (power_decide("aba", "ab", FREE, auto_strategy(FREE)), "aba", "ab", FREE),  # roots
+        (power_decide("a", "", FREE, auto_strategy(FREE)), "a", "", FREE),
+        (power_decide("ab", "b", Z, auto_strategy(Z)), "ab", "b", Z),  # lattice
+        (power_decide("b", "a", G2, s), "b", "a", G2),  # commutator
+        (power_decide("a", "abABcdCD", G2, s), "a", "abABcdCD", G2),  # trivial-u
+        (_power_by_scan("b", "a", ZXZ3, auto_strategy(ZXZ3)), "b", "a", ZXZ3),  # order
+    ]
+    return words, powers
+
+
+REAL_WORDS, REAL_POWERS = _real_certificates()
+
+
+def _entries(node):
+    """Every entry nested anywhere inside a certificate, the certificate included."""
+    yield node
+    if isinstance(node, Decision):
+        yield from _entries(node.certificate)
+    elif isinstance(node, tuple):
+        for item in node:
+            yield from _entries(item)
+
+
+TAGS = ("free", "abelian", "dehn", "product", "power", "roots", "lattice",
+        "commutator", "trivial-u", "order")
+# fillers, plus every real decision, checked word and certificate entry
+POOL = [None, "x", 0, ()] + [
+    e
+    for dec, *words in REAL_WORDS + REAL_POWERS
+    for e in (dec, *words[:-1], *_entries(dec.certificate))
+]
+
+
+@st.composite
+def _forged(draw, node):
+    """node with one edit at a random depth.
+
+    The edit swaps a tag or a nested verdict, truncates or extends a
+    tuple, or replaces an entry by a draw from POOL.
+    """
+    if isinstance(node, Decision):
+        if draw(st.booleans()):
+            return Decision(draw(st.sampled_from((Verdict.YES, Verdict.NO))), node.certificate)
+        return Decision(node.verdict, draw(_forged(node.certificate)))
+    if not isinstance(node, tuple) or not node or draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(POOL))
+    i = draw(st.integers(0, len(node) - 1))
+    edit = draw(st.sampled_from(("tag", "truncate", "extend", "replace", "descend")))
+    if edit == "tag":
+        return (draw(st.sampled_from(TAGS)),) + node[1:]
+    if edit == "truncate":
+        return node[:i]
+    if edit == "extend":
+        return node + (draw(st.sampled_from(POOL)),)
+    if edit == "replace":
+        return node[:i] + (draw(st.sampled_from(POOL)),) + node[i + 1 :]
+    return node[:i] + (draw(_forged(node[i])),) + node[i + 1 :]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.data())
+def test_forged_certificates_never_raise_or_back_a_wrong_verdict(data):
+    cert_of = data.draw(st.sampled_from(REAL_WORDS + REAL_POWERS))
+    real = cert_of[0]
+    cert = real.certificate
+    for _ in range(data.draw(st.integers(1, 3))):
+        cert = data.draw(_forged(cert))
+    if isinstance(real, Decision):
+        _, w, pres = cert_of
+        for verdict in (Verdict.YES, Verdict.NO):
+            ok = check_decision(Decision(verdict, cert), w, pres)
+            assert isinstance(ok, bool)
+            assert not ok or verdict is real.verdict, cert
+        return
+    _, w, u, pres = cert_of
+    claimed = cert[1] if isinstance(cert, tuple) and len(cert) > 1 else None
+    for p in {real.p, claimed if isinstance(claimed, int) else 1}:
+        ok = check_power_decision(PowerDecision(Verdict.YES, p, cert), w, u, pres)
+        assert isinstance(ok, bool)
+        # a Yes may name any exponent that works, but only one that works
+        assert not ok or q_equal(w, power(u, p), pres, auto_strategy(pres)).yes, (p, cert)
+    ok = check_power_decision(PowerDecision(Verdict.NO, None, cert), w, u, pres)
+    assert isinstance(ok, bool)
+    assert not ok or real.no, cert

@@ -1,12 +1,15 @@
 """Fibre product membership and conjugacy."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from fibreconj.area import Presentation
+from fibreconj.decisions import Verdict
 from fibreconj.oracle import auto_strategy
 from fibreconj.subdirect import (
+    ConjugacyResult,
     PairElement,
     canonical_setup,
     p_conjugacy,
@@ -153,3 +156,30 @@ def test_replay_rejects_non_positive():
     setup, strat = setup_for(Z)
     res = p_conjugacy(("b", "b"), ("abA", "b"), setup, strat)
     assert not replay_trace(res, ("b", "b"), ("abA", "b"), setup, strat)
+
+
+def test_replay_rejects_malformed_results():
+    setup, strat = setup_for(Z)
+    U, V = ("b", "b"), ("abA", "abA")
+    res = p_conjugacy(U, V, setup, strat)
+    assert res.yes and res.trace.branch == "main"
+    trace = res.trace
+    j, p = trace.winner
+    forged = [
+        replace(res, trace=None),
+        replace(res, conjugator=None),
+        replace(res, conjugator=tuple(res.conjugator)),
+        replace(res, trace=replace(trace, branch="coords")),
+        replace(res, trace=replace(trace, winner=None)),
+        replace(res, trace=replace(trace, winner=("x", p))),
+        replace(res, trace=replace(trace, winner=(j, p, 0))),
+        replace(res, trace=replace(trace, z1=None)),
+        replace(res, trace=replace(trace, w2=None)),
+        replace(res, trace=replace(trace, queries=None)),
+        replace(res, trace=replace(trace, queries=(None,))),
+        ConjugacyResult(Verdict.YES, res.conjugator, None),
+        None,
+    ]
+    for bad in forged:
+        assert replay_trace(bad, U, V, setup, strat) is False, bad
+    assert replay_trace(res, U, V, setup, strat) is True

@@ -25,7 +25,6 @@ from fibreconj.words import (
     random_reduced_word,
     reduced_words,
     rotate,
-    rotations,
     validate_word,
     word_str,
 )
@@ -95,8 +94,8 @@ def test_cyclic_reduce_invariant(w):
 
 def test_rotations():
     assert rotate("abc", 1) == "bca"
-    assert rotations("ab") == ["ab", "ba"]
-    assert rotations("") == [""]
+    assert rotate("abc", -1) == "cab"
+    assert rotate("", 3) == ""
 
 
 def test_free_conjugator_examples():
