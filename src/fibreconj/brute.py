@@ -1,9 +1,13 @@
 """Brute-force reference oracles.
 
-Everything here recomputes from first principles with its own small
-helpers, deliberately sharing no search code with the main engines, so
-that agreement between the two routes carries evidential weight.  These
-functions are meant for desk-scale inputs and tests, not production use.
+Area, conjugacy in P and primitive roots are recomputed from first
+principles with this module's own small helpers, sharing no search code
+with the main engines, so that agreement between the two routes carries
+evidential weight.  brute_power is the exception: it scans exponents
+itself but decides each candidate with the engine's q_equal, so it
+checks the power engine's exponent scan and not its word problem.
+These functions are meant for desk-scale inputs and tests, not
+production use.
 """
 
 from __future__ import annotations

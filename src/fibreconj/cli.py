@@ -3,11 +3,14 @@
 One query per invocation, one machine-readable result line, exit codes
 0 = yes/value, 1 = no, 2 = unknown, 3 = usage or parse error.  The exit
 code depends on the verdict only, never on which strategy produced it.
+`main` reads the presentation and builds the strategy; each subcommand's
+runner gets both and prints its result line through `_emit`.
 """
 
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 
 from .area import Presentation, area_bounded, dehn_function, rel_cyclics_dehn
@@ -18,7 +21,7 @@ from .brute import (
     brute_primitive_root,
     random_instances,
 )
-from .decisions import OracleUnknown
+from .decisions import OracleUnknown, Verdict
 from .oracle import (
     KINDS,
     auto_strategy,
@@ -39,6 +42,7 @@ from .words import (
     parse_word,
     primitive_root,
     random_reduced_word,
+    reduced_words,
     validate_word,
     word_str,
 )
@@ -148,47 +152,44 @@ def _build_parser() -> _Parser:
     free_common.add_argument("-p", "--presentation")
     free_common.add_argument("--structured", action="store_true")
 
-    p = sub.add_parser("wp", parents=[common])
-    p.add_argument("-w", "--word", required=True)
+    def add(name, run, parent=common):
+        p = sub.add_parser(name, parents=[parent])
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("area", parents=[common])
-    p.add_argument("-w", "--word", required=True)
+    add("wp", _run_wp).add_argument("-w", "--word", required=True)
+    add("area", _run_area).add_argument("-w", "--word", required=True)
+    add("dehn", _run_dehn).add_argument("-n", type=int, required=True)
+    add("reldehn", _run_reldehn).add_argument("-n", type=int, required=True)
 
-    p = sub.add_parser("dehn", parents=[common])
-    p.add_argument("-n", type=int, required=True)
-
-    p = sub.add_parser("reldehn", parents=[common])
-    p.add_argument("-n", type=int, required=True)
-
-    p = sub.add_parser("member", parents=[common])
+    p = add("member", _run_member)
     p.add_argument("-u", required=True)
     p.add_argument("-v", required=True)
 
-    p = sub.add_parser("conj", parents=[common])
+    p = add("conj", _run_conj)
     p.add_argument("--u1", required=True)
     p.add_argument("--u2", required=True)
     p.add_argument("--v1", required=True)
     p.add_argument("--v2", required=True)
 
-    p = sub.add_parser("power", parents=[common])
+    p = add("power", _run_power)
     p.add_argument("-w", "--word", required=True)
     p.add_argument("-u", required=True)
 
-    p = sub.add_parser("perturb", parents=[common])
+    p = add("perturb", _run_perturb)
     p.add_argument("-w", "--word", required=True)
     p.add_argument("--threshold", type=int, default=1)
     p.add_argument("--kmax", type=int, default=8)
 
-    p = sub.add_parser("root", parents=[free_common])
-    p.add_argument("-w", "--word", required=True)
+    add("root", _run_root, free_common).add_argument("-w", "--word", required=True)
 
-    p = sub.add_parser("fconj", parents=[free_common])
+    p = add("fconj", _run_fconj, free_common)
     p.add_argument("-u", required=True)
     p.add_argument("-v", required=True)
 
-    sub.add_parser("gens", parents=[common])
+    add("gens", _run_gens)
 
-    p = sub.add_parser("verify", parents=[common])
+    p = add("verify", _run_verify)
     p.add_argument("what", choices=["area", "conj", "power", "root"])
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -209,120 +210,82 @@ def _word_arg(s: str, pres: Presentation | None) -> str:
     return w
 
 
-def _emit(args, plain: str, pairs: list[tuple[str, str]]):
-    if getattr(args, "structured", False):
-        print(" ".join(f"{k}={v}" for k, v in pairs))
+_EXIT = {Verdict.YES: 0, Verdict.NO: 1, Verdict.UNKNOWN: 2}
+
+
+def _emit(args, plain: str, **pairs) -> None:
+    if args.structured:
+        print(" ".join(f"{k}={v}" for k, v in {"command": args.command, **pairs}.items()))
     else:
         print(plain)
 
 
-def _verdict_exit(verdict) -> int:
-    from .decisions import Verdict
-
-    if verdict is Verdict.YES:
-        return 0
-    if verdict is Verdict.NO:
-        return 1
-    return 2
+def _emit_decision(args, dec, plain: str, **pairs) -> int:
+    """The result line, then the certificate line if asked for; the verdict's exit code."""
+    _emit(args, plain, **pairs)
+    if args.show_certificate and dec.certificate is not None:
+        print(f"certificate: {dec.certificate!r}")
+    return _EXIT[dec.verdict]
 
 
 def _pair_str(pair) -> str:
     return f"({word_str(pair[0])}; {word_str(pair[1])})"
 
 
-def _run_wp(args) -> int:
-    pres = parse_presentation_file(args.presentation)
-    strat = _strategy(pres, args)
+def _run_wp(args, pres, strat) -> int:
     w = _word_arg(args.word, pres)
     dec = wp_decide(w, pres, strat)
-    _emit(args, dec.verdict.name, [("command", "wp"), ("word", word_str(w)),
-                                   ("verdict", dec.verdict.name)])
-    if args.show_certificate and dec.certificate is not None:
-        print(f"certificate: {dec.certificate!r}")
-    return _verdict_exit(dec.verdict)
+    return _emit_decision(args, dec, dec.verdict.name, word=word_str(w), verdict=dec.verdict.name)
 
 
-def _run_area(args) -> int:
-    pres = parse_presentation_file(args.presentation)
-    strat = _strategy(pres, args)
+def _run_area(args, pres, strat) -> int:
     w = _word_arg(args.word, pres)
     dec = wp_decide(w, pres, strat)
-    if dec.no:
-        _emit(args, "NO", [("command", "area"), ("word", word_str(w)), ("verdict", "NO")])
-        return 1
-    if dec.unknown:
-        _emit(args, "UNKNOWN", [("command", "area"), ("word", word_str(w)),
-                                ("verdict", "UNKNOWN")])
-        return 2
-    res = area_bounded(w, None, pres, state_budget=args.budget)
-    if res.value is None:
-        _emit(args, "UNKNOWN", [("command", "area"), ("word", word_str(w)),
-                                ("verdict", "UNKNOWN")])
-        return 2
-    _emit(args, f"AREA {word_str(w)} = {res.value}",
-          [("command", "area"), ("word", word_str(w)), ("value", str(res.value))])
+    res = area_bounded(w, None, pres, state_budget=args.budget) if dec.yes else None
+    if res is None or res.value is None:
+        verdict = dec.verdict if res is None else Verdict.UNKNOWN
+        _emit(args, verdict.name, word=word_str(w), verdict=verdict.name)
+        return _EXIT[verdict]
+    _emit(args, f"AREA {word_str(w)} = {res.value}", word=word_str(w), value=res.value)
     if args.show_certificate and res.witness is not None:
         for theta, rel in res.witness.factors:
             print(f"({word_str(theta)}; {word_str(rel)})")
     return 0
 
 
-def _run_dehn(args) -> int:
-    pres = parse_presentation_file(args.presentation)
-    strat = _strategy(pres, args)
+def _run_dehn(args, pres, strat) -> int:
     value = dehn_function(args.n, pres, lambda w: wp_decide(w, pres, strat))
-    _emit(args, f"DELTA {args.n} = {value}",
-          [("command", "dehn"), ("n", str(args.n)), ("value", str(value))])
+    _emit(args, f"DELTA {args.n} = {value}", n=args.n, value=value)
     return 0
 
 
-def _run_reldehn(args) -> int:
-    pres = parse_presentation_file(args.presentation)
-    strat = _strategy(pres, args)
+def _run_reldehn(args, pres, strat) -> int:
     value = rel_cyclics_dehn(
         args.n,
         pres,
         lambda w, u: power_decide(w, u, pres, strat),
         lambda w: wp_decide(w, pres, strat),
     )
-    _emit(args, f"DELTAC {args.n} = {value}",
-          [("command", "reldehn"), ("n", str(args.n)), ("value", str(value))])
+    _emit(args, f"DELTAC {args.n} = {value}", n=args.n, value=value)
     return 0
 
 
-def _run_member(args) -> int:
-    pres = parse_presentation_file(args.presentation)
-    strat = _strategy(pres, args)
-    setup = canonical_setup(pres)
-    pair = (_word_arg(args.u, pres), _word_arg(args.v, pres))
-    dec = p_membership(pair, setup, strat)
-    _emit(args, dec.verdict.name, [("command", "member"), ("first", word_str(pair[0])),
-                                   ("second", word_str(pair[1])),
-                                   ("verdict", dec.verdict.name)])
-    if args.show_certificate and dec.certificate is not None:
-        print(f"certificate: {dec.certificate!r}")
-    return _verdict_exit(dec.verdict)
+def _run_member(args, pres, strat) -> int:
+    first, second = _word_arg(args.u, pres), _word_arg(args.v, pres)
+    dec = p_membership((first, second), canonical_setup(pres), strat)
+    return _emit_decision(args, dec, dec.verdict.name, first=word_str(first),
+                          second=word_str(second), verdict=dec.verdict.name)
 
 
-def _run_conj(args) -> int:
-    pres = parse_presentation_file(args.presentation)
-    strat = _strategy(pres, args)
-    setup = canonical_setup(pres)
+def _run_conj(args, pres, strat) -> int:
     U = (_word_arg(args.u1, pres), _word_arg(args.u2, pres))
     V = (_word_arg(args.v1, pres), _word_arg(args.v2, pres))
-    try:
-        res = p_conjugacy(U, V, setup, strat)
-    except ValueError as exc:
-        raise CLIError(str(exc))
+    res = p_conjugacy(U, V, canonical_setup(pres), strat)
     if res.yes:
-        plain = f"YES {_pair_str(res.conjugator)}"
-        pairs = [("command", "conj"), ("verdict", "YES"),
-                 ("gamma1", word_str(res.conjugator[0])),
-                 ("gamma2", word_str(res.conjugator[1]))]
+        _emit(args, f"YES {_pair_str(res.conjugator)}", verdict="YES",
+              gamma1=word_str(res.conjugator[0]), gamma2=word_str(res.conjugator[1]))
     else:
-        plain = res.verdict.name
-        pairs = [("command", "conj"), ("verdict", res.verdict.name)]
-    _emit(args, plain, pairs)
+        _emit(args, res.verdict.name, verdict=res.verdict.name)
     if args.show_certificate:
         t = res.trace
         print(f"branch: {t.branch}")
@@ -333,86 +296,59 @@ def _run_conj(args) -> int:
                 print(f"query j={q.j} target={word_str(q.target)} "
                       f"verdict={q.verdict.name} p={q.p}")
             print(f"winner: {t.winner}")
-    return _verdict_exit(res.verdict)
+    return _EXIT[res.verdict]
 
 
-def _run_power(args) -> int:
-    pres = parse_presentation_file(args.presentation)
-    strat = _strategy(pres, args)
-    w = _word_arg(args.word, pres)
-    u = _word_arg(args.u, pres)
-    pd = power_decide(w, u, pres, strat)
+def _run_power(args, pres, strat) -> int:
+    pd = power_decide(_word_arg(args.word, pres), _word_arg(args.u, pres), pres, strat)
     if pd.yes:
-        plain = f"YES p={pd.p}"
-        pairs = [("command", "power"), ("verdict", "YES"), ("p", str(pd.p))]
-    else:
-        plain = pd.verdict.name
-        pairs = [("command", "power"), ("verdict", pd.verdict.name)]
-    _emit(args, plain, pairs)
-    if args.show_certificate and pd.certificate is not None:
-        print(f"certificate: {pd.certificate!r}")
-    return _verdict_exit(pd.verdict)
+        return _emit_decision(args, pd, f"YES p={pd.p}", verdict="YES", p=pd.p)
+    return _emit_decision(args, pd, pd.verdict.name, verdict=pd.verdict.name)
 
 
-def _run_perturb(args) -> int:
-    pres = parse_presentation_file(args.presentation)
-    strat = _strategy(pres, args)
-    setup = canonical_setup(pres)
+def _run_perturb(args, pres, strat) -> int:
     w = _word_arg(args.word, pres)
     cfg = PerturbConfig(threshold=args.threshold, k_max=args.kmax)
-    res = power_avoid(w, cfg, setup, strat)
+    res = power_avoid(w, cfg, canonical_setup(pres), strat)
     if res.perturbed:
         _emit(args, f"PERTURBED {word_str(res.word)} K={res.k}",
-              [("command", "perturb"), ("outcome", "perturbed"),
-               ("word", word_str(res.word)), ("k", str(res.k))])
+              outcome="perturbed", word=word_str(res.word), k=res.k)
     else:
         _emit(args, f"EXCEPTIONAL {word_str(res.word)}",
-              [("command", "perturb"), ("outcome", "exceptional"),
-               ("word", word_str(res.word))])
+              outcome="exceptional", word=word_str(res.word))
     return 0
 
 
-def _run_root(args) -> int:
-    pres = parse_presentation_file(args.presentation) if args.presentation else None
+def _run_root(args, pres, strat) -> int:
     w = _word_arg(args.word, pres)
     if free_reduce(w) == "":
         raise CLIError("the empty word has no root decomposition")
     dec = primitive_root(free_reduce(w))
     _emit(args, f"ROOT {word_str(w)} = {word_str(dec.root)}^{dec.exponent}",
-          [("command", "root"), ("word", word_str(w)),
-           ("root", word_str(dec.root)), ("exponent", str(dec.exponent))])
+          word=word_str(w), root=word_str(dec.root), exponent=dec.exponent)
     return 0
 
 
-def _run_fconj(args) -> int:
-    pres = parse_presentation_file(args.presentation) if args.presentation else None
-    u = _word_arg(args.u, pres)
-    v = _word_arg(args.v, pres)
-    x = free_conjugator(u, v)
+def _run_fconj(args, pres, strat) -> int:
+    x = free_conjugator(_word_arg(args.u, pres), _word_arg(args.v, pres))
     if x is None:
-        _emit(args, "NO", [("command", "fconj"), ("verdict", "NO")])
+        _emit(args, "NO", verdict="NO")
         return 1
-    _emit(args, f"YES {word_str(x)}",
-          [("command", "fconj"), ("verdict", "YES"), ("conjugator", word_str(x))])
+    _emit(args, f"YES {word_str(x)}", verdict="YES", conjugator=word_str(x))
     return 0
 
 
-def _run_gens(args) -> int:
-    pres = parse_presentation_file(args.presentation)
-    setup = canonical_setup(pres)
-    for pair in setup.p_generators:
+def _run_gens(args, pres, strat) -> int:
+    for pair in canonical_setup(pres).p_generators:
         print(_pair_str(pair))
     return 0
 
 
-def _run_verify(args) -> int:
-    pres = parse_presentation_file(args.presentation)
-    strat = _strategy(pres, args)
+def _run_verify(args, pres, strat) -> int:
     instances = agreements = disagreements = unknowns = 0
+    rng = random.Random(args.seed)
 
     if args.what == "area":
-        from .words import reduced_words
-
         for w in reduced_words(pres.generators, args.max_len):
             dec = wp_decide(w, pres, strat)
             if dec.unknown:
@@ -448,9 +384,6 @@ def _run_verify(args) -> int:
             else:
                 agreements += 1
     elif args.what == "power":
-        import random as _random
-
-        rng = _random.Random(args.seed)
         for _ in range(args.count):
             w = random_reduced_word(rng, pres.generators, rng.randint(0, args.max_len))
             u = random_reduced_word(rng, pres.generators, rng.randint(1, args.max_len))
@@ -469,12 +402,8 @@ def _run_verify(args) -> int:
                 print(f"disagree w={word_str(w)} u={word_str(u)} "
                       f"engine={pd.verdict.name}:{pd.p} brute={ref}")
     else:
-        import random as _random
-
-        rng = _random.Random(args.seed)
-        alphabet = pres.generators
         for _ in range(args.count):
-            w = random_reduced_word(rng, alphabet, rng.randint(1, args.max_len))
+            w = random_reduced_word(rng, pres.generators, rng.randint(1, args.max_len))
             instances += 1
             mine = primitive_root(w)
             root, e = brute_primitive_root(w)
@@ -490,22 +419,6 @@ def _run_verify(args) -> int:
     return 0 if disagreements == 0 else 1
 
 
-_RUNNERS = {
-    "wp": _run_wp,
-    "area": _run_area,
-    "dehn": _run_dehn,
-    "reldehn": _run_reldehn,
-    "member": _run_member,
-    "conj": _run_conj,
-    "power": _run_power,
-    "perturb": _run_perturb,
-    "root": _run_root,
-    "fconj": _run_fconj,
-    "gens": _run_gens,
-    "verify": _run_verify,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -513,14 +426,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 3
     try:
-        return _RUNNERS[args.command](args)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        pres = parse_presentation_file(args.presentation) if args.presentation else None
+        strat = _strategy(pres, args) if "oracle" in args else None
+        return args.run(args, pres, strat)
     except (KMaxExhausted, SearchBudgetExceeded, OracleUnknown) as exc:
         print(f"UNKNOWN {exc}")
         return 2
-    except ValueError as exc:
+    except (CLIError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

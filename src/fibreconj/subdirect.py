@@ -57,26 +57,27 @@ def pair_conjugate(pair, g) -> PairElement:
 
 @dataclass(frozen=True)
 class SubdirectSetup:
-    """A presentation together with a generating set for P."""
+    """The canonical fibre product P of a presentation."""
 
     pres: Presentation
-    p_generators: tuple[PairElement, ...]
 
-    def __post_init__(self):
-        for pair in self.p_generators:
-            validate_pair(pair, self.pres.generators)
+    @property
+    def p_generators(self) -> tuple[PairElement, ...]:
+        """Standard generators: the diagonal plus each relator on one side.
+
+        Conjugating (r, 1) and (1, r) by diagonal elements reaches the whole
+        kernel on either coordinate, so these generate P.
+        """
+        pres = self.pres
+        gens = [PairElement(g, g) for g in pres.generators]
+        gens += [PairElement(r, "") for r in pres.relators]
+        gens += [PairElement("", r) for r in pres.relators]
+        return tuple(gens)
 
 
 def canonical_setup(pres: Presentation) -> SubdirectSetup:
-    """Standard generators: the diagonal plus each relator on one side.
-
-    Conjugating (r, 1) and (1, r) by diagonal elements reaches the whole
-    kernel on either coordinate, so these generate P.
-    """
-    gens = [PairElement(g, g) for g in pres.generators]
-    gens += [PairElement(r, "") for r in pres.relators]
-    gens += [PairElement("", r) for r in pres.relators]
-    return SubdirectSetup(pres, tuple(gens))
+    """The canonical fibre product of pres."""
+    return SubdirectSetup(pres)
 
 
 def p_membership(pair, setup: SubdirectSetup, strat: StrategySpec) -> Decision:
@@ -107,7 +108,6 @@ class ConjugacyTrace:
     branch: str
     x1: str | None = None
     x2: str | None = None
-    w2: str | None = None
     w: str | None = None
     z1: str | None = None
     e1: int | None = None
@@ -125,9 +125,9 @@ class ConjugacyResult(Verdicted):
 
 
 def _main_conjugator(trace: ConjugacyTrace, j: int, p: int) -> PairElement:
-    """(z1^p * w * w2, z2^j * w2): the main-branch conjugator for the pair (j, p)."""
+    """(z1^p * w * x2, z2^j * x2): the main-branch conjugator for the pair (j, p)."""
     zeta = PairElement(mul(power(trace.z1, p), trace.w), power(trace.z2, j))
-    return pair_mul(zeta, PairElement(trace.w2, trace.w2))
+    return pair_mul(zeta, PairElement(trace.x2, trace.x2))
 
 
 def _finish(U, V, gamma, trace, setup, strat) -> ConjugacyResult:
@@ -184,8 +184,7 @@ def p_conjugacy(U, V, setup: SubdirectSetup, strat: StrategySpec) -> ConjugacyRe
     # u_i; such a pair lies in P iff z1^p * w = z2^q in Q, w = x1 * x2^-1.
     # Since u2 = z2^e2 equals u1 = z1^e1 in Q, shifting q by e2 shifts p
     # by e1, so scanning q = j in [0, e2) loses nothing.
-    w2 = x2
-    w = mul(x1, inverse(w2))
+    w = mul(x1, inverse(x2))
     r1 = primitive_root(u1)
     r2 = primitive_root(u2)
     z1, e1 = r1.root, r1.exponent
@@ -204,7 +203,7 @@ def p_conjugacy(U, V, setup: SubdirectSetup, strat: StrategySpec) -> ConjugacyRe
         if pd.unknown:
             saw_unknown = True
 
-    trace = ConjugacyTrace("main", x1, x2, w2, w, z1, e1, z2, e2, tuple(queries), winner)
+    trace = ConjugacyTrace("main", x1, x2, w, z1, e1, z2, e2, tuple(queries), winner)
     if winner is not None:
         return _finish(U, V, _main_conjugator(trace, *winner), trace, setup, strat)
     return ConjugacyResult(Verdict.UNKNOWN if saw_unknown else Verdict.NO, None, trace)
@@ -215,29 +214,32 @@ def replay_trace(result: ConjugacyResult, U, V, setup: SubdirectSetup, strat: St
 
     Matches the whole result: a Yes whose conjugator takes U to V inside
     P and, on the main branch, whose recorded winning query re-runs to
-    the same exponent and rebuilds the same conjugator.  Returns False
-    on any other result.
+    the same exponent and rebuilds the same conjugator, all of its words
+    over the generators.  Returns False on any other result.
     """
     U = validate_pair(U, setup.pres.generators)
     V = validate_pair(V, setup.pres.generators)
+    letters = set(setup.pres.generators + setup.pres.generators.upper())
     match result:
         case ConjugacyResult(
-            Verdict.YES, PairElement() as gamma, ConjugacyTrace(branch="deg-first" | "deg-second")
-        ):
+            Verdict.YES,
+            PairElement(str(g1), str(g2)) as gamma,
+            ConjugacyTrace(branch="deg-first" | "deg-second"),
+        ) if letters.issuperset(g1 + g2):
             return pair_conjugate(U, gamma) == V and p_membership(gamma, setup, strat).yes
         case ConjugacyResult(
             Verdict.YES,
-            PairElement() as gamma,
+            PairElement(str(g1), str(g2)) as gamma,
             ConjugacyTrace(
                 branch="main",
-                w2=str(),
+                x2=str(x2),
                 w=str(w),
                 z1=str(z1),
                 z2=str(z2),
                 queries=tuple(queries),
                 winner=(int(j), int(p)),
             ) as trace,
-        ):
+        ) if letters.issuperset(g1 + g2 + x2 + w + z1 + z2):
             tgt = mul(power(z2, j), inverse(w))
             return (
                 pair_conjugate(U, gamma) == V

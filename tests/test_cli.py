@@ -1,5 +1,8 @@
 """End-to-end command-line behavior: one line out, verdict-driven exit codes."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -135,6 +138,11 @@ def test_gens_listing(capsys):
     assert out == ["(a; a)", "(b; b)", "(b; 1)", "(1; b)"]
 
 
+def test_gens_rejects_unfit_oracle(capsys):
+    code, out, err = run(capsys, ["gens", "-p", Z, "--oracle", "free"])
+    assert code == 3 and out == [] and "free strategy" in err
+
+
 def test_verify_area(capsys):
     code, out, _ = run(capsys, ["verify", "area", "-p", Z2, "--max-len", "4"])
     assert code == 0
@@ -216,3 +224,48 @@ def test_presentation_comments_and_blanks(capsys, tmp_path):
     ok.write_text("# integers\ngenerators: a b  # two\n\nrelators: b\n")
     code, out, _ = run(capsys, ["wp", "-p", str(ok), "-w", "b"])
     assert code == 0 and out == ["YES"]
+
+
+ROOT = PRES.parent
+EXIT_OF_FIRST_WORD = {"NO": 1, "UNKNOWN": 2}
+
+
+def readme_cli_examples():
+    """(argv, expected first line or None) for each line of README's "Command line" block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("fibreconj "):
+            command, _, comment = line.partition("#")
+            examples.append([command.split()[1:], comment.strip() or None])
+        elif line.startswith("# "):
+            examples[-1][1] = line[2:].strip()
+    return examples
+
+
+def test_readme_examples_exist():
+    assert len(readme_cli_examples()) == 9
+
+
+@pytest.mark.parametrize(
+    "argv,expected", readme_cli_examples(), ids=lambda v: " ".join(v) if isinstance(v, list) else None
+)
+def test_readme_examples(capsys, monkeypatch, argv, expected):
+    monkeypatch.chdir(ROOT)
+    code, out, _ = run(capsys, argv)
+    assert out
+    if expected is None:
+        assert code == 0
+    else:
+        assert code == EXIT_OF_FIRST_WORD.get(expected.split()[0], 0)
+        assert out[0] == expected
+
+
+def test_module_entry_point_passes_exit_code():
+    proc = subprocess.run(
+        [sys.executable, "-m", "fibreconj.cli", "wp", "-p", "presentations/z.txt", "-w", "a"],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stdout == "NO\n"

@@ -10,6 +10,7 @@ from fibreconj.decisions import Verdict
 from fibreconj.oracle import auto_strategy
 from fibreconj.subdirect import (
     ConjugacyResult,
+    ConjugacyTrace,
     PairElement,
     canonical_setup,
     p_conjugacy,
@@ -174,7 +175,7 @@ def test_replay_rejects_malformed_results():
         replace(res, trace=replace(trace, winner=("x", p))),
         replace(res, trace=replace(trace, winner=(j, p, 0))),
         replace(res, trace=replace(trace, z1=None)),
-        replace(res, trace=replace(trace, w2=None)),
+        replace(res, trace=replace(trace, x2=None)),
         replace(res, trace=replace(trace, queries=None)),
         replace(res, trace=replace(trace, queries=(None,))),
         ConjugacyResult(Verdict.YES, res.conjugator, None),
@@ -183,3 +184,17 @@ def test_replay_rejects_malformed_results():
     for bad in forged:
         assert replay_trace(bad, U, V, setup, strat) is False, bad
     assert replay_trace(res, U, V, setup, strat) is True
+
+    # words with a letter outside the generators
+    empty = ("", "")
+    deg = ConjugacyResult(Verdict.YES, PairElement("x", "x"), ConjugacyTrace("deg-first"))
+    assert replay_trace(deg, empty, empty, setup, strat) is False
+    U, V = ("Ba", "BBBab"), ("aBBabA", "aBaBBBabAbA")
+    res = p_conjugacy(U, V, setup, strat)
+    assert res.trace.winner == (0, -1) and replay_trace(res, U, V, setup, strat) is True
+    gamma = res.conjugator
+    for bad in (
+        replace(res, trace=replace(res.trace, z1="x")),
+        replace(res, conjugator=PairElement(gamma.first + "xX", gamma.second)),
+    ):
+        assert replay_trace(bad, U, V, setup, strat) is False, bad
