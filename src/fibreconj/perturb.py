@@ -3,10 +3,13 @@
 Appending a power of a kernel element (trivial in Q, nontrivial in F)
 changes a word only inside its Q-fibre.  The escape routine first
 minimises the word within its fibre, then appends increasing powers of
-a fixed kernel witness until the result is not a proper power in F;
-when no power works, a minimal representative that is already not a
-proper power is returned unchanged.  Short minimal representatives are
-reported as exceptional instead.
+a fixed kernel witness, by default a shortest relator, until the result
+is not a proper power in F; when no power works, a minimal
+representative that is already not a proper power is returned
+unchanged.  Short minimal representatives are reported as exceptional
+instead.  The witness needs no search, and the fibre search queries the
+word problem only on ball words with the right abelian image, so
+perturbation runs over genus 2 as well.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decisions import Decision
-from .oracle import StrategySpec, q_equal, wp_decide
+from .oracle import StrategySpec, _model, q_equal, wp_decide
 from .subdirect import SubdirectSetup
 from .words import (
     free_reduce,
@@ -27,7 +30,7 @@ from .words import (
 
 
 class SearchBudgetExceeded(Exception):
-    """A ball search hit its query budget before finding its target."""
+    """A ball search hit its candidate budget before finding its target."""
 
 
 class KMaxExhausted(Exception):
@@ -39,8 +42,8 @@ class PerturbConfig:
     """Tuning for power_avoid.
 
     Words whose minimal representative is shorter than threshold are
-    exceptional.  kernel_witness overrides the enumerated witness, which
-    helps presentations whose shortest kernel element is long.
+    exceptional.  kernel_witness overrides the default witness, the
+    first shortest relator; power_avoid checks either one with wp_decide.
     """
 
     threshold: int = 1
@@ -73,48 +76,35 @@ class PerturbResult:
         return self.outcome == "exceptional"
 
 
-def kernel_witness(
-    setup: SubdirectSetup,
-    strat: StrategySpec,
-    max_len: int | None = None,
-    budget: int = 500_000,
-) -> str:
-    """First nontrivial free word that dies in Q, in length-then-rank order."""
-    pres = setup.pres
-    if not pres.relators:
+def kernel_witness(setup: SubdirectSetup) -> str:
+    """The first shortest relator: nonempty and cyclically reduced, so
+    nontrivial in F, and trivial in Q."""
+    if not setup.pres.relators:
         raise ValueError("the kernel is trivial: no witness exists")
-    if max_len is None:
-        max_len = pres.max_relator_length
-    seen = 0
-    for w in reduced_words(pres.generators, max_len):
-        if w == "":
-            continue
-        seen += 1
-        if seen > budget:
-            raise SearchBudgetExceeded(f"no kernel witness within {budget} queries")
-        if wp_decide(w, pres, strat).yes:
-            return w
-    raise SearchBudgetExceeded(f"no kernel witness of length <= {max_len}")
+    return min(setup.pres.relators, key=len)
 
 
 def minimal_q_rep(w: str, setup: SubdirectSetup, strat: StrategySpec,
                   budget: int = 500_000) -> str:
     """Shortest word with the same Q-image as w, ties broken by rank order.
 
-    Requires an exact strategy: an Unknown equality query would make the
-    minimality claim unverifiable.
+    Words equal in Q are equal in the abelianization of Q, so only ball
+    words with the abelian image of w are queried; budget bounds the
+    ball words enumerated.  Requires an exact strategy: an Unknown
+    equality query would make the minimality claim unverifiable.
     """
     pres = setup.pres
     validate_word(w, pres.generators)
     if not strat.exactness_claim:
         raise ValueError("minimal representative search needs an exact strategy")
     w = free_reduce(w)
-    seen = 0
-    for cand in reduced_words(pres.generators, len(w)):
-        seen += 1
+    image = _model(pres).residues
+    target = image(w)
+    for seen, cand in enumerate(reduced_words(pres.generators, len(w)), 1):
         if seen > budget:
-            raise SearchBudgetExceeded(f"minimal representative not found in {budget} queries")
-        if q_equal(cand, w, pres, strat).yes:
+            raise SearchBudgetExceeded(
+                f"minimal representative not found in {budget} ball candidates")
+        if image(cand) == target and q_equal(cand, w, pres, strat).yes:
             return cand
     raise AssertionError("ball search ended without reaching the word itself")
 
@@ -142,7 +132,7 @@ def power_avoid(
 
     witness = cfg.kernel_witness
     if witness is None:
-        witness = kernel_witness(setup, strat)
+        witness = kernel_witness(setup)
     if not wp_decide(witness, pres, strat).yes:
         raise ValueError("supplied kernel witness is not trivial in Q")
 

@@ -103,6 +103,15 @@ def test_perturb_lines(capsys):
     assert code == 0 and out == ["EXCEPTIONAL 1"]
 
 
+def test_perturb_genus2(capsys):
+    # the witness is the relator itself, so no search over the ball of
+    # reduced words shorter than 8 letters stands before the answer
+    code, out, _ = run(capsys, ["perturb", "-p", G2, "-w", "a"])
+    assert code == 0 and out == ["PERTURBED aabABcdCD K=1"]
+    code, out, _ = run(capsys, ["perturb", "-p", G2, "-w", "a", "--structured"])
+    assert code == 0 and out == ["command=perturb outcome=perturbed word=aabABcdCD k=1"]
+
+
 def test_perturb_exhaustion_is_unknown(capsys, tmp_path):
     # single-generator quotient: every candidate stays a proper power,
     # and so does the minimal representative aa of a^2 in Z/5
@@ -245,7 +254,7 @@ def readme_cli_examples():
 
 
 def test_readme_examples_exist():
-    assert len(readme_cli_examples()) == 9
+    assert len(readme_cli_examples()) == 10
 
 
 @pytest.mark.parametrize(

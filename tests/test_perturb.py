@@ -1,9 +1,13 @@
 """Power-avoiding perturbation and fibre-minimal representatives."""
 
+from functools import cache
+from itertools import count
+
 import pytest
 
+from fibreconj import perturb
 from fibreconj.area import Presentation
-from fibreconj.oracle import auto_strategy, make_strategy, q_equal
+from fibreconj.oracle import auto_strategy, make_strategy, q_equal, wp_decide
 from fibreconj.perturb import (
     KMaxExhausted,
     PerturbConfig,
@@ -13,28 +17,90 @@ from fibreconj.perturb import (
     power_avoid,
 )
 from fibreconj.subdirect import canonical_setup
-from fibreconj.words import is_proper_power
+from fibreconj.words import exponent_vector, free_reduce, is_proper_power, reduced_words
 
 Z = Presentation("ab", ("b",))
 Z2 = Presentation("ab", ("abAB",))
 Z3 = Presentation("a", ("aaa",))
+ZXZ3 = Presentation("ab", ("aaa", "abAB"))
+G2 = Presentation("abcd", ("abABcdCD",))
 
 
 def setup_for(pres):
     return canonical_setup(pres), auto_strategy(pres)
 
 
+@cache
+def _unfiltered_min_rep(w, pres, strat):
+    """Reference: the ball search that queries q_equal on every ball word."""
+    w = free_reduce(w)
+    for cand in reduced_words(pres.generators, len(w)):
+        if q_equal(cand, w, pres, strat).yes:
+            return cand
+    raise AssertionError("ball search ended without reaching the word itself")
+
+
+@cache
+def _rank_order_witness(pres, strat):
+    """Reference: the first nonempty reduced word trivial in Q, in
+    length-then-rank order.
+
+    When every relator has exponent sum zero in each generator, so has
+    every trivial word; prefixes that cannot get back to zero within the
+    length are skipped unqueried, which makes genus 2 affordable.
+    """
+    gens = pres.generators
+    letters = [c for g in gens for c in (g, g.upper())]
+    balanced = not any(any(exponent_vector(r, gens)) for r in pres.relators)
+
+    def of_length(prefix, n):
+        if balanced and sum(map(abs, exponent_vector(prefix, gens))) > n - len(prefix):
+            return
+        if len(prefix) == n:
+            yield prefix
+            return
+        for c in letters:
+            if not prefix or prefix[-1] != c.swapcase():
+                yield from of_length(prefix + c, n)
+
+    for n in count(1):
+        for w in of_length("", n):
+            if wp_decide(w, pres, strat).yes:
+                return w
+
+
+REFERENCE_CASES = [(Z, 5), (Z2, 5), (Z3, 5), (ZXZ3, 5), (G2, 3)]
+
+
+@pytest.mark.parametrize("pres,max_len", REFERENCE_CASES, ids=["Z", "Z2", "Z3", "ZxZ3", "genus2"])
+def test_outputs_match_unfiltered_references(monkeypatch, pres, max_len):
+    setup, strat = setup_for(pres)
+    cfg = PerturbConfig()
+    words = list(reduced_words(pres.generators, max_len))
+    assert kernel_witness(setup) == _rank_order_witness(pres, strat)
+    for w in words:
+        assert minimal_q_rep(w, setup, strat) == _unfiltered_min_rep(w, pres, strat)
+    fast = [power_avoid(w, cfg, setup, strat) for w in words]
+    # with both reference searches in place, power_avoid runs as it did
+    # before the abelian filter and the relator witness
+    monkeypatch.setattr(perturb, "minimal_q_rep",
+                        lambda w, setup, strat: _unfiltered_min_rep(w, setup.pres, strat))
+    monkeypatch.setattr(perturb, "kernel_witness",
+                        lambda setup: _rank_order_witness(setup.pres, strat))
+    assert fast == [power_avoid(w, cfg, setup, strat) for w in words]
+
+
 def test_kernel_witness_values():
-    for pres, expect in ((Z, "b"), (Z2, "abAB"), (Z3, "aaa")):
-        setup, strat = setup_for(pres)
-        assert kernel_witness(setup, strat) == expect
+    for pres, expect in ((Z, "b"), (Z2, "abAB"), (Z3, "aaa"), (ZXZ3, "aaa"), (G2, "abABcdCD")):
+        setup, _ = setup_for(pres)
+        assert kernel_witness(setup) == expect
 
 
 def test_kernel_witness_free_quotient():
     pres = Presentation("ab", ())
-    setup, strat = setup_for(pres)
+    setup, _ = setup_for(pres)
     with pytest.raises(ValueError):
-        kernel_witness(setup, strat)
+        kernel_witness(setup)
 
 
 def test_minimal_q_rep():
@@ -56,7 +122,7 @@ def test_minimal_q_rep_needs_exact_strategy():
 
 def test_minimal_q_rep_budget():
     setup, strat = setup_for(Z2)
-    with pytest.raises(SearchBudgetExceeded):
+    with pytest.raises(SearchBudgetExceeded, match="in 3 ball candidates"):
         minimal_q_rep("abab", setup, strat, budget=3)
 
 
@@ -109,7 +175,7 @@ def test_power_avoid_keeps_primitive_minimal_rep():
     # every candidate a^(3k +- 1) is a proper power, but the minimal
     # representative a or A already is not one: it comes back with k = 0
     cases = [(Z3, w, w0) for w, w0 in (("a", "a"), ("A", "A"), ("aa", "A"), ("AAAA", "A"))]
-    cases += [(Presentation("ab", ("aaa", "abAB")), w, w0)
+    cases += [(ZXZ3, w, w0)
               for w, w0 in (("a", "a"), ("A", "A"), ("bAAB", "a"), ("aaaaa", "A"))]
     for pres, w, w0 in cases:
         setup, strat = setup_for(pres)
