@@ -10,6 +10,7 @@ rewriting strategy under a verified metric small cancellation condition.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -166,20 +167,29 @@ def check_c16(pres: Presentation) -> bool:
 
 
 @lru_cache(maxsize=64)
-def _half_index(pres: Presentation) -> tuple[dict, tuple[int, ...]]:
-    """Index of the rewritable prefixes: (prefix -> (length, mark, replacement), lengths).
+def _rewrite_rules(pres: Presentation) -> tuple[re.Pattern, dict]:
+    """The rewritable prefixes: (pattern that finds them, prefix -> (mark, replacement)).
 
-    Every prefix s[:j] longer than half of a marked rotation s maps to
-    its length j, the mark of s and the replacement inverse(s[j:]).
-    lengths lists the distinct prefix lengths, longest first.  Only
-    built for C'(1/6) presentations, where no two rotations share such
-    a prefix (see dehn_greedy_trace).
+    The index maps every prefix s[:j] longer than half of a marked
+    rotation s to the mark of s and the replacement inverse(s[j:]).  The
+    pattern has one alternative per marked rotation s: s[:h] with
+    h = len(s) // 2 + 1, then each further letter of s as a nested
+    greedy optional, so it matches the longest prefix of s that fits,
+    also one cut short by the end of the word.  Only built for C'(1/6)
+    presentations, where no two rotations share such a prefix (see
+    dehn_greedy_trace).  Without relators the pattern matches nothing.
     """
     index = {}
+    alternatives = []
     for s, mark in _marked_rotations(pres):
-        for j in range(len(s) // 2 + 1, len(s) + 1):
-            index[s[:j]] = (j, mark, inverse(s[j:]))
-    return index, tuple(sorted({j for j, _, _ in index.values()}, reverse=True))
+        h = len(s) // 2 + 1
+        for j in range(h, len(s) + 1):
+            index[s[:j]] = (mark, inverse(s[j:]))
+        tail = ""
+        for c in reversed(s[h:]):
+            tail = f"(?:{c}{tail})?"
+        alternatives.append(s[:h] + tail)
+    return re.compile("|".join(alternatives) or "(?!)"), index
 
 
 def dehn_greedy_trace(w: str, pres: Presentation):
@@ -195,50 +205,44 @@ def dehn_greedy_trace(w: str, pres: Presentation):
     Uniqueness: a common prefix of two distinct marked rotations is a
     piece, and under C'(1/6) a piece is shorter than a sixth of its
     relator.  So a prefix longer than half of a marked rotation belongs
-    to that rotation alone, and at any position at most one rotation
-    matches.  One dictionary lookup per candidate length, longest
-    first, therefore finds the match a scan over all rotations finds.
+    to that rotation alone, and at any position at most one alternative
+    of the compiled pattern (_rewrite_rules) matches, whatever their
+    order.  The leftmost match of the pattern is therefore the match a
+    scan over all positions and rotations finds first, and its greedy
+    optionals make it the longest.
 
     Resume: the word and the inserted replacement are both reduced, so
     letters cancel only at the two seams of the rewrite.  Let c be the
     first position the rewrite changed and L the longest relator.  Every
     window that starts before c - L + 1 ends by c, so it is unchanged
-    and was already found not to match; the scan resumes at
+    and was already found not to match; the search resumes at
     max(0, c - L + 1) and still finds the leftmost match.
 
-    Cost: every step shortens the word, and the scan backs up at most
-    L - 1 letters plus those cancelled, so a whole rewrite looks at
-    O(L * |w|) positions, each with at most L dictionary lookups.  Each
-    step also copies the word once.
+    Cost: every step shortens the word, and the search backs up at most
+    L - 1 letters plus those cancelled, so a whole rewrite tries the
+    pattern at O(L * |w|) positions.  The regular expression engine
+    does that in C and skips at each position every alternative whose
+    first letter does not fit.  Each step also copies the word once.
     """
     if not check_c16(pres):
         raise ValueError("greedy rewriting requires the C'(1/6) condition")
-    index, lengths = _half_index(pres)
+    pattern, index = _rewrite_rules(pres)
+    longest = max(map(len, pres.relators), default=0)
     w = free_reduce(w)
     steps: list[tuple[int, tuple[int, int, int], int]] = []
     start = 0
-    while True:
-        hit = None
+    while (m := pattern.search(w, start)) is not None:
+        pos, end = m.span()
+        mark, piece = index[m.group()]
         n = len(w)
-        for pos in range(start, n):
-            for j in lengths:
-                # a window past the end is cut short; then it is the
-                # longest window at pos, and a hit has its own length
-                hit = index.get(w[pos : pos + j])
-                if hit is not None:
-                    break
-            if hit is not None:
-                break
-        if hit is None:
-            return w, tuple(steps)
-        j, mark, piece = hit
         left = mul2(w[:pos], piece)
-        w = mul2(left, w[pos + j :])
-        steps.append((pos, mark, j))
+        w = mul2(left, w[end:])
+        steps.append((pos, mark, end - pos))
         cut_left = (pos + len(piece) - len(left)) // 2
-        cut_right = (len(left) + n - pos - j - len(w)) // 2
+        cut_right = (len(left) + n - end - len(w)) // 2
         changed = min(pos - cut_left, len(left) - cut_right)
-        start = max(0, changed - lengths[0] + 1)
+        start = max(0, changed - longest + 1)
+    return w, tuple(steps)
 
 
 def dehn_greedy(w: str, pres: Presentation) -> str:
@@ -418,12 +422,20 @@ def _power_by_scan(w, u, pres, strat) -> PowerDecision:
 
 # --- certificate checking -------------------------------------------------
 
+def _spelled_in(pres: Presentation, *words: str) -> bool:
+    """True when every letter of the words is a generator of pres or its inverse."""
+    return set("".join(words)) <= set(pres.generators + pres.generators.upper())
+
+
 def check_decision(dec: Decision, w: str, pres: Presentation) -> bool:
     """Independently validate a word-problem certificate against w.
 
     Each case matches one whole certificate shape together with the
-    verdict it may back; any other decision is rejected.
+    verdict it may back; any other decision is rejected, and so is
+    every decision about a word outside the generators.
     """
+    if not _spelled_in(pres, w):
+        return False
     w = free_reduce(w)
     match dec:
         case Decision(Verdict.UNKNOWN):
@@ -463,8 +475,11 @@ def check_power_decision(pd: PowerDecision, w: str, u: str, pres: Presentation) 
     """Independently validate a power-problem certificate against (w, u).
 
     As in check_decision, each case matches one whole certificate shape
-    together with the verdict it may back; any other decision is rejected.
+    together with the verdict it may back; any other decision is rejected,
+    and so is every decision about words outside the generators.
     """
+    if not _spelled_in(pres, w, u):
+        return False
     w = free_reduce(w)
     u = free_reduce(u)
     match pd:

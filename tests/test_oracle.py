@@ -32,6 +32,8 @@ Z3 = Presentation("a", ("aaa",))
 ZXZ3 = Presentation("ab", ("aaa", "abAB"))
 G2 = Presentation("abcd", ("abABcdCD",))
 G3 = Presentation("abcdef", ("abABcdCDefEF",))
+# genus 2 and genus 3 on disjoint letters: relators of lengths 8 and 12
+G2G3 = Presentation("abcdefghij", ("abABcdCD", "efEFghGHijIJ"))
 FREE = Presentation("ab", ())
 
 
@@ -46,6 +48,7 @@ def test_certified_abelian():
 
 def test_check_c16():
     assert check_c16(G2)
+    assert check_c16(G2G3)
     assert check_c16(Z)
     assert not check_c16(Z2)
     # a proper-power relator forms pieces with its own shifted copies
@@ -156,14 +159,12 @@ def _surface_words(pres: Presentation, max_size: int):
 
 
 def _relator_products(pres: Presentation):
-    """Products of conjugated rotations of the relator or its inverse."""
-    r = pres.relators[0]
-    factor = st.tuples(_surface_words(pres, 6), st.booleans(), st.integers(0, len(r) - 1))
+    """Products of conjugated rotations of the relators and their inverses."""
+    rotations = [s for s, _ in _marked_rotations(pres)]
+    factor = st.tuples(_surface_words(pres, 6), st.sampled_from(rotations))
 
     def product(factors):
-        return mul(*(
-            inverse(g) + rotate(r if sign else inverse(r), t) + g for g, sign, t in factors
-        ))
+        return mul(*(inverse(g) + s + g for g, s in factors))
 
     return st.lists(factor, min_size=1, max_size=12).map(product)
 
@@ -180,7 +181,14 @@ def _rewrite_inputs(pres: Presentation):
 # the whole relator goes, CCCC cancels cccc across the gap, and the next
 # match starts four letters before where the relator was
 @example((G2, "abAB" + "CCCC" + "abABcdCD" + "cccc" + "cdCD"))
-@given(st.sampled_from([G2, G3]).flatmap(lambda p: st.tuples(st.just(p), _rewrite_inputs(p))))
+# the word ends eight letters into the twelve-letter relator: the match
+# is cut short by the end of the word
+@example((G2G3, "aa" + "efEFghGH"))
+# the second b starts exactly at the resume point c - L + 1 = 1.  With
+# L >= 3 no match can: its first L - 1 letters were unchanged and
+# already more than half a relator
+@example((Z, "abb"))
+@given(st.sampled_from([G2, G3, G2G3]).flatmap(lambda p: st.tuples(st.just(p), _rewrite_inputs(p))))
 def test_dehn_trace_matches_leftmost_rescan(case):
     pres, w = case
     assert dehn_greedy_trace(w, pres) == _leftmost_rescan(w, pres)
@@ -392,6 +400,16 @@ def test_forged_well_formed_certificates_are_rejected():
     assert not check_decision(Decision(Verdict.NO, ("dehn", (), w)), w, G2)
     # a Dehn No is sound only under C'(1/6)
     assert not check_decision(Decision(Verdict.NO, ("dehn", (), "abAB")), "abAB", Z2)
+
+
+def test_certificates_for_words_outside_the_generators_are_rejected():
+    # each certificate would fit x if x were a letter of the presentation
+    model = abelian_model(Z2.generators, Z2.relators)
+    zero = Decision(Verdict.YES, ("abelian", (0, 0), model.moduli))
+    assert not check_decision(zero, "x", Z2)
+    assert not check_power_decision(PowerDecision(Verdict.YES, 0, ("power", 0, zero)), "x", "a", Z2)
+    assert not check_decision(Decision(Verdict.NO, ("dehn", (), "x")), "x", G2)
+    assert not check_decision(Decision(Verdict.NO, ("free", "x")), "x", FREE)
 
 
 def _real_certificates():
