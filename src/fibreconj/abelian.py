@@ -4,7 +4,8 @@ The quotient Q = F(X)/<<R>> maps onto Z^n / L where n is the number of
 generators and L is the sublattice spanned by the exponent vectors of
 the relators.  Reducing that pair to a diagonal normal form gives exact
 membership tests in the abelianization, which are sound No-certificates
-for the word problem in Q and exact decisions whenever Q is abelian.
+for the word problem in Q and exact decisions whenever Q is abelian,
+and one normal form word for each element of the abelianization.
 """
 
 from __future__ import annotations
@@ -15,36 +16,43 @@ from math import gcd
 from .words import exponent_vector
 
 
-def _smith_moduli(rows: list[list[int]], n: int) -> tuple[list[int], list[list[int]]]:
-    """Diagonalize the integer row lattice, returning (moduli, V).
+def _smith_moduli(
+    rows: list[list[int]], n: int
+) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """Diagonalize the integer row lattice, returning (moduli, V, V^-1).
 
     V is the unimodular column transform: a vector x lies in the row
     lattice iff (x V)_i == 0 modulo moduli[i] for every i, where a
-    modulus of 0 demands exact equality.  The nonzero moduli form a
-    divisibility chain d_1 | d_2 | ...
+    modulus of 0 demands exact equality.  V^-1 undoes it: every column
+    operation on V is matched by the inverse row operation on V^-1.
+    The nonzero moduli form a divisibility chain d_1 | d_2 | ...
     """
     a = [row[:] for row in rows]
     k = len(a)
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    v_inv = [r[:] for r in v]
 
     def col_swap(i, j):
         for r in a:
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def col_addmul(dst, src, m):
-        # column dst += m * column src
+        # column dst += m * column src; row src -= m * row dst in V^-1
         for r in a:
             r[dst] += m * r[src]
         for r in v:
             r[dst] += m * r[src]
+        v_inv[src] = [x - m * y for x, y in zip(v_inv[src], v_inv[dst])]
 
     def col_neg(i):
         for r in a:
             r[i] = -r[i]
         for r in v:
             r[i] = -r[i]
+        v_inv[i] = [-x for x in v_inv[i]]
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
@@ -69,7 +77,8 @@ def _smith_moduli(rows: list[list[int]], n: int) -> tuple[list[int], list[list[i
         row_swap(top, pi)
         if pj != left:
             col_swap(left, pj)
-        # clear the pivot row and column by Euclidean steps
+        # clear the pivot row and column by Euclidean steps, until the
+        # pivot also divides the whole remaining block
         while True:
             dirty = False
             p = a[top][left]
@@ -89,26 +98,24 @@ def _smith_moduli(rows: list[list[int]], n: int) -> tuple[list[int], list[list[i
                         col_swap(left, j)
                         dirty = True
                         p = a[top][left]
-            if not dirty:
+            if dirty:
+                continue
+            # a row of the remaining block that the pivot does not divide
+            # moves into the pivot row, where the column steps leave its
+            # remainders as smaller pivots
+            rest = next((i for i in range(top + 1, k)
+                         if any(x % p for x in a[i][left + 1 :])), None)
+            if rest is None:
                 break
+            row_addmul(top, rest, 1)
         if a[top][left] < 0:
             col_neg(left)
         diag.append(a[top][left])
         top += 1
         left += 1
 
-    # enforce the divisibility chain d_i | d_{i+1}
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            x, y = diag[i], diag[i + 1]
-            if y % x:
-                g = gcd(x, y)
-                diag[i], diag[i + 1] = g, x * y // g
-                changed = True
     moduli = diag + [0] * (n - len(diag))
-    return moduli, v
+    return moduli, v, v_inv
 
 
 @dataclass(frozen=True)
@@ -117,12 +124,14 @@ class AbelianModel:
 
     coords(w) transforms the exponent vector of w; w maps into the
     lattice iff every coordinate vanishes modulo the matching modulus
-    (modulus 0 means exact zero).
+    (modulus 0 means exact zero).  inverse_transform maps coordinates
+    back to exponent vectors.
     """
 
     generators: str
     moduli: tuple[int, ...]
     transform: tuple[tuple[int, ...], ...]
+    inverse_transform: tuple[tuple[int, ...], ...]
 
     def coords(self, w: str) -> tuple[int, ...]:
         x = exponent_vector(w, self.generators)
@@ -132,16 +141,31 @@ class AbelianModel:
     def residues(self, w: str) -> tuple[int, ...]:
         return tuple(c % m if m else c for c, m in zip(self.coords(w), self.moduli))
 
-    def is_trivial(self, w: str) -> bool:
-        """True iff the image of w vanishes in the abelianized quotient."""
-        return not any(self.residues(w))
+    def normal_form(self, w: str) -> str:
+        """The word a_1^e_1 ... a_n^e_n naming the image of w.
+
+        Each coordinate with modulus d > 0 is reduced into (-d/2, d/2],
+        so words with the same image get the same normal form.
+        """
+        reduced = []
+        for c, m in zip(self.coords(w), self.moduli):
+            if m:
+                c %= m
+                c -= m if 2 * c > m else 0
+            reduced.append(c)
+        back = self.inverse_transform
+        n = len(self.generators)
+        exps = (sum(reduced[i] * back[i][j] for i in range(n)) for j in range(n))
+        return "".join(g * e if e >= 0 else g.upper() * -e
+                       for g, e in zip(self.generators, exps))
 
 
 def abelian_model(generators: str, relators: tuple[str, ...]) -> AbelianModel:
     n = len(generators)
     rows = [list(exponent_vector(r, generators)) for r in relators]
-    moduli, v = _smith_moduli(rows, n)
-    return AbelianModel(generators, tuple(moduli), tuple(tuple(r) for r in v))
+    moduli, v, v_inv = _smith_moduli(rows, n)
+    return AbelianModel(generators, tuple(moduli), tuple(tuple(r) for r in v),
+                        tuple(tuple(r) for r in v_inv))
 
 
 def _solve_congruence(a: int, y: int, m: int):

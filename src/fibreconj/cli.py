@@ -29,12 +29,7 @@ from .oracle import (
     power_decide,
     wp_decide,
 )
-from .perturb import (
-    KMaxExhausted,
-    PerturbConfig,
-    SearchBudgetExceeded,
-    power_avoid,
-)
+from .perturb import KMaxExhausted, PerturbConfig, power_avoid
 from .subdirect import canonical_setup, p_conjugacy, p_membership
 from .words import (
     free_conjugator,
@@ -178,7 +173,6 @@ def _build_parser() -> _Parser:
 
     p = add("perturb", _run_perturb)
     p.add_argument("-w", "--word", required=True)
-    p.add_argument("--threshold", type=int, default=1)
     p.add_argument("--kmax", type=int, default=8)
 
     add("root", _run_root, free_common).add_argument("-w", "--word", required=True)
@@ -308,15 +302,13 @@ def _run_power(args, pres, strat) -> int:
 
 def _run_perturb(args, pres, strat) -> int:
     w = _word_arg(args.word, pres)
-    cfg = PerturbConfig(threshold=args.threshold, k_max=args.kmax)
-    res = power_avoid(w, cfg, canonical_setup(pres), strat)
+    res = power_avoid(w, PerturbConfig(k_max=args.kmax), canonical_setup(pres), strat)
+    word = word_str(res.word)
     if res.perturbed:
-        _emit(args, f"PERTURBED {word_str(res.word)} K={res.k}",
-              outcome="perturbed", word=word_str(res.word), k=res.k)
-    else:
-        _emit(args, f"EXCEPTIONAL {word_str(res.word)}",
-              outcome="exceptional", word=word_str(res.word))
-    return 0
+        return _emit_decision(args, res.image_certificate, f"PERTURBED {word} K={res.k}",
+                              outcome="perturbed", word=word, k=res.k)
+    return _emit_decision(args, res.image_certificate, f"EXCEPTIONAL {word}",
+                          outcome="exceptional", word=word)
 
 
 def _run_root(args, pres, strat) -> int:
@@ -429,7 +421,7 @@ def main(argv=None) -> int:
         pres = parse_presentation_file(args.presentation) if args.presentation else None
         strat = _strategy(pres, args) if "oracle" in args else None
         return args.run(args, pres, strat)
-    except (KMaxExhausted, SearchBudgetExceeded, OracleUnknown) as exc:
+    except (KMaxExhausted, OracleUnknown) as exc:
         print(f"UNKNOWN {exc}")
         return 2
     except (CLIError, ValueError) as exc:

@@ -308,6 +308,25 @@ def wp_decide(w: str, pres: Presentation, strat: StrategySpec) -> Decision:
     return Decision(Verdict.UNKNOWN, ("budget", f"{res.states} states searched"))
 
 
+def normal_form(w: str, pres: Presentation, strat: StrategySpec) -> str:
+    """A reduced word equal to w in Q, read off the exact strategy's theory.
+
+    The free reduction under free, the terminal word of the greedy
+    rewrite under dehn, and the abelian normal form under an exact
+    abelian strategy.  Each is empty iff w = 1 in Q; the free and
+    abelian ones are also the same for all words equal in Q.
+    """
+    _check_pairing(pres, strat.kind, strat.exactness_claim)
+    validate_word(w, pres.generators)
+    if not strat.exactness_claim:
+        raise ValueError("a normal form needs an exact strategy")
+    if strat.kind == FREE:
+        return free_reduce(w)
+    if strat.kind == DEHN:
+        return dehn_greedy(w, pres)
+    return _model(pres).normal_form(w)
+
+
 def q_equal(u: str, v: str, pres: Presentation, strat: StrategySpec) -> Decision:
     """Decide u = v in Q via triviality of u*v^-1."""
     validate_word(u, pres.generators)

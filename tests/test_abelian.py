@@ -21,14 +21,57 @@ def test_divisibility_chain():
 
 def test_triviality():
     m = abelian_model("ab", ("abAB",))
-    assert m.is_trivial("")
-    assert m.is_trivial("abAB")
-    assert m.is_trivial("aBAb")
-    assert not m.is_trivial("ab")
+    assert m.residues("") == (0, 0)
+    assert m.residues("abAB") == (0, 0)
+    assert m.residues("aBAb") == (0, 0)
+    assert m.residues("ab") != (0, 0)
     z3 = abelian_model("a", ("aaa",))
-    assert z3.is_trivial("aaa")
-    assert z3.is_trivial("AAA")
-    assert not z3.is_trivial("a")
+    assert z3.residues("aaa") == (0,)
+    assert z3.residues("AAA") == (0,)
+    assert z3.residues("a") != (0,)
+
+
+def test_coprime_orders_stay_trivial():
+    # Z/2 x Z/3 has invariant factor 6 alone; the coordinate change that
+    # merges 2 and 3 into 6 must reach the transform too, or b^3 reads
+    # as nontrivial
+    m = abelian_model("ab", ("aa", "bbb"))
+    assert m.moduli == (1, 6)
+    assert m.residues("bbb") == m.residues("aa") == (0, 0)
+    assert m.residues("ab") != (0, 0)
+
+
+_relators = st.lists(st.text("aAbBc", min_size=1, max_size=8), min_size=1, max_size=3)
+
+
+@given(_relators)
+def test_relators_vanish_and_transform_inverts(relators):
+    m = abelian_model("abc", tuple(relators))
+    for r in relators:
+        assert not any(m.residues(r))
+    n = len(m.generators)
+    v, v_inv = m.transform, m.inverse_transform
+    product = [[sum(v[i][k] * v_inv[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+    nonzero = [d for d in m.moduli if d]
+    assert all(y % x == 0 for x, y in zip(nonzero, nonzero[1:]))
+
+
+@given(_relators, st.text("aAbBc", max_size=10))
+def test_normal_form_names_the_image(relators, w):
+    m = abelian_model("abc", tuple(relators))
+    nf = m.normal_form(w)
+    assert m.residues(nf) == m.residues(w)
+    assert m.normal_form(nf) == nf
+    assert (nf == "") == (not any(m.residues(w)))
+
+
+def test_normal_form_examples():
+    assert abelian_model("ab", ("abAB",)).normal_form("baBAba") == "ab"
+    assert abelian_model("ab", ("b",)).normal_form("bAAb") == "AA"
+    z4 = abelian_model("a", ("aaaa",))
+    # (-2, 2] keeps the positive exponent on the tie
+    assert [z4.normal_form("a" * e) for e in range(4)] == ["", "a", "aa", "A"]
 
 
 def test_power_solutions_point():

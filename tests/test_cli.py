@@ -104,22 +104,40 @@ def test_perturb_lines(capsys):
 
 
 def test_perturb_genus2(capsys):
-    # the witness is the relator itself, so no search over the ball of
-    # reduced words shorter than 8 letters stands before the answer
+    # the witness is the relator itself and the start is the word's Dehn
+    # reduction, so no search over a ball of reduced words stands before
+    # the answer, also for a word late in rank order
     code, out, _ = run(capsys, ["perturb", "-p", G2, "-w", "a"])
     assert code == 0 and out == ["PERTURBED aabABcdCD K=1"]
     code, out, _ = run(capsys, ["perturb", "-p", G2, "-w", "a", "--structured"])
     assert code == 0 and out == ["command=perturb outcome=perturbed word=aabABcdCD k=1"]
+    code, out, _ = run(capsys, ["perturb", "-p", G2, "-w", "DCBADCB"])
+    assert code == 0 and out == ["PERTURBED DCBADCBabABcdCD K=1"]
+
+
+def test_perturb_certificate_lines(capsys):
+    code, out, _ = run(capsys, ["perturb", "-p", Z, "-w", "baB", "--show-certificate"])
+    assert code == 0 and out == [
+        "PERTURBED ab K=1",
+        "certificate: ('abelian', (0, 0), (1, 0))",
+    ]
+    code, out, _ = run(capsys, ["perturb", "-p", G2, "-w", "a", "--show-certificate"])
+    assert code == 0 and out == [
+        "PERTURBED aabABcdCD K=1",
+        "certificate: ('dehn', ((1, (0, 1, 0), 8),), '')",
+    ]
+    code, out, _ = run(capsys, ["perturb", "-p", Z, "-w", "bb", "--show-certificate"])
+    assert code == 0 and out == ["EXCEPTIONAL 1", "certificate: ('abelian', (0, 0), (1, 0))"]
 
 
 def test_perturb_exhaustion_is_unknown(capsys, tmp_path):
     # single-generator quotient: every candidate stays a proper power,
-    # and so does the minimal representative aa of a^2 in Z/5
+    # and so does the normal form aa of a^2 in Z/5
     z5 = tmp_path / "z5.txt"
     z5.write_text("generators: a\nrelators: aaaaa\n")
     code, out, _ = run(capsys, ["perturb", "-p", str(z5), "-w", "aa"])
     assert code == 2 and out[0].startswith("UNKNOWN")
-    # in Z/3 the minimal representative A is no proper power: kept, K=0
+    # in Z/3 the normal form A is no proper power: kept, K=0
     code, out, _ = run(capsys, ["perturb", "-p", Z3, "-w", "A"])
     assert code == 0 and out == ["PERTURBED A K=0"]
 

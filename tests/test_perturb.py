@@ -1,5 +1,6 @@
-"""Power-avoiding perturbation and fibre-minimal representatives."""
+"""Power-avoiding perturbation and the normal forms it starts from."""
 
+import random
 from functools import cache
 from itertools import count
 
@@ -7,23 +8,33 @@ import pytest
 
 from fibreconj import perturb
 from fibreconj.area import Presentation
-from fibreconj.oracle import auto_strategy, make_strategy, q_equal, wp_decide
-from fibreconj.perturb import (
-    KMaxExhausted,
-    PerturbConfig,
-    SearchBudgetExceeded,
-    kernel_witness,
-    minimal_q_rep,
-    power_avoid,
+from fibreconj.oracle import (
+    auto_strategy,
+    check_decision,
+    make_strategy,
+    normal_form,
+    q_equal,
+    wp_decide,
 )
+from fibreconj.perturb import KMaxExhausted, PerturbConfig, kernel_witness, power_avoid
 from fibreconj.subdirect import canonical_setup
-from fibreconj.words import exponent_vector, free_reduce, is_proper_power, reduced_words
+from fibreconj.words import (
+    exponent_vector,
+    free_reduce,
+    inverse,
+    is_proper_power,
+    mul,
+    random_reduced_word,
+    reduced_words,
+)
 
 Z = Presentation("ab", ("b",))
 Z2 = Presentation("ab", ("abAB",))
 Z3 = Presentation("a", ("aaa",))
 ZXZ3 = Presentation("ab", ("aaa", "abAB"))
 G2 = Presentation("abcd", ("abABcdCD",))
+Z4XZ6 = Presentation("ab", ("aaaa", "bbbbbb", "abAB"))
+FREE = Presentation("ab", ())
 
 
 def setup_for(pres):
@@ -79,12 +90,12 @@ def test_outputs_match_unfiltered_references(monkeypatch, pres, max_len):
     words = list(reduced_words(pres.generators, max_len))
     assert kernel_witness(setup) == _rank_order_witness(pres, strat)
     for w in words:
-        assert minimal_q_rep(w, setup, strat) == _unfiltered_min_rep(w, pres, strat)
+        assert normal_form(w, pres, strat) == _unfiltered_min_rep(w, pres, strat)
     fast = [power_avoid(w, cfg, setup, strat) for w in words]
     # with both reference searches in place, power_avoid runs as it did
-    # before the abelian filter and the relator witness
-    monkeypatch.setattr(perturb, "minimal_q_rep",
-                        lambda w, setup, strat: _unfiltered_min_rep(w, setup.pres, strat))
+    # when it started from the ball search's minimal representative and
+    # searched the ball for its witness
+    monkeypatch.setattr(perturb, "normal_form", _unfiltered_min_rep)
     monkeypatch.setattr(perturb, "kernel_witness",
                         lambda setup: _rank_order_witness(setup.pres, strat))
     assert fast == [power_avoid(w, cfg, setup, strat) for w in words]
@@ -103,27 +114,45 @@ def test_kernel_witness_free_quotient():
         kernel_witness(setup)
 
 
-def test_minimal_q_rep():
-    setup, strat = setup_for(Z)
-    assert minimal_q_rep("baB", setup, strat) == "a"
-    assert minimal_q_rep("bb", setup, strat) == ""
-    assert minimal_q_rep("a", setup, strat) == "a"
-    setup2, strat2 = setup_for(Z2)
-    # among the length-2 words equal to ba in Z^2, rank order picks ab
-    assert minimal_q_rep("ba", setup2, strat2) == "ab"
+def test_normal_form_spots():
+    cases = [
+        (Z, "baB", "a"), (Z, "bb", ""), (Z, "a", "a"),
+        (Z2, "ba", "ab"),  # among the length-2 words equal to ba, rank order picks ab
+        (Z3, "aaaa", "a"),
+        (G2, "abABc", "dcD"),  # Dehn: abAB is more than half of the relator
+    ]
+    for pres, w, nf in cases:
+        assert normal_form(w, pres, auto_strategy(pres)) == nf
 
 
-def test_minimal_q_rep_needs_exact_strategy():
-    setup, _ = setup_for(Z2)
+NORMAL_FORM_CASES = [(FREE, 4), (Z, 4), (Z2, 4), (Z3, 5), (ZXZ3, 4), (Z4XZ6, 4), (G2, 3)]
+
+
+@pytest.mark.parametrize("pres,max_len", NORMAL_FORM_CASES,
+                         ids=["free", "Z", "Z2", "Z3", "ZxZ3", "Z4xZ6", "genus2"])
+def test_normal_form_is_certified_and_empty_iff_trivial(pres, max_len):
+    strat = auto_strategy(pres)
+    for w in reduced_words(pres.generators, max_len):
+        nf = normal_form(w, pres, strat)
+        assert nf == free_reduce(nf)
+        assert check_decision(q_equal(nf, w, pres, strat), mul(nf, inverse(w)), pres)
+        assert (nf == "") == wp_decide(w, pres, strat).yes
+
+
+def test_normal_form_needs_exact_strategy():
     loose = make_strategy(Z2, "search", 1000)
     with pytest.raises(ValueError):
-        minimal_q_rep("ab", setup, loose)
+        normal_form("ab", Z2, loose)
+    with pytest.raises(ValueError):
+        normal_form("ac", Z2, auto_strategy(Z2))
 
 
-def test_minimal_q_rep_budget():
-    setup, strat = setup_for(Z2)
-    with pytest.raises(SearchBudgetExceeded, match="in 3 ball candidates"):
-        minimal_q_rep("abab", setup, strat, budget=3)
+def test_long_genus2_word_perturbs():
+    setup, strat = setup_for(G2)
+    w = random_reduced_word(random.Random(11), G2.generators, 400)
+    res = power_avoid(w, PerturbConfig(), setup, strat)
+    assert res.perturbed and not is_proper_power(res.word)
+    assert check_decision(res.image_certificate, mul(res.word, inverse(w)), G2)
 
 
 def test_power_avoid_spots():
@@ -144,36 +173,28 @@ def test_power_avoid_spots():
     assert q_equal(res.word, "ba", Z2, strat2).yes
 
 
-def test_power_avoid_threshold():
+def test_power_avoid_exceptional_iff_trivial():
     setup, strat = setup_for(Z)
-    # with a higher threshold, short representatives become exceptional
-    res = power_avoid("a", PerturbConfig(threshold=2), setup, strat)
-    assert res.exceptional and res.word == "a"
-    res = power_avoid("a", PerturbConfig(threshold=1), setup, strat)
-    assert res.perturbed
-
-
-def test_power_avoid_explicit_witness():
-    setup, strat = setup_for(Z2)
-    cfg = PerturbConfig(kernel_witness="abAB")
-    res = power_avoid("aa", cfg, setup, strat)
-    assert res.perturbed and not is_proper_power(res.word)
-    with pytest.raises(ValueError):
-        power_avoid("aa", PerturbConfig(kernel_witness="ab"), setup, strat)
+    # a nonempty normal form is perturbed, however short
+    res = power_avoid("a", PerturbConfig(), setup, strat)
+    assert res.perturbed and res.word == "ab"
+    res = power_avoid("aBAb", PerturbConfig(), setup, strat)
+    assert res.exceptional and res.word == res.base_rep == "" and res.k is None
+    assert res.image_certificate.yes
 
 
 def test_power_avoid_rank_one_exhausts():
     # over a single generator every word of length >= 2 is a proper
     # power, so no perturbation exponent can ever succeed, and the
-    # minimal representative aa of a^2 in Z/5 is itself a proper power
+    # normal form aa of a^2 in Z/5 is itself a proper power
     setup, strat = setup_for(Presentation("a", ("aaaaa",)))
     with pytest.raises(KMaxExhausted):
         power_avoid("aa", PerturbConfig(), setup, strat)
 
 
 def test_power_avoid_keeps_primitive_minimal_rep():
-    # every candidate a^(3k +- 1) is a proper power, but the minimal
-    # representative a or A already is not one: it comes back with k = 0
+    # every candidate a^(3k +- 1) is a proper power, but the normal form
+    # a or A already is not one: it comes back with k = 0
     cases = [(Z3, w, w0) for w, w0 in (("a", "a"), ("A", "A"), ("aa", "A"), ("AAAA", "A"))]
     cases += [(ZXZ3, w, w0)
               for w, w0 in (("a", "a"), ("A", "A"), ("bAAB", "a"), ("aaaaa", "A"))]
