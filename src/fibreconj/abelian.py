@@ -16,43 +16,35 @@ from math import gcd
 from .words import exponent_vector
 
 
-def _smith_moduli(
-    rows: list[list[int]], n: int
-) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """Diagonalize the integer row lattice, returning (moduli, V, V^-1).
+def _smith_moduli(rows: list[list[int]], n: int) -> tuple[list[int], list[list[int]]]:
+    """Diagonalize the integer row lattice, returning (moduli, V).
 
     V is the unimodular column transform: a vector x lies in the row
     lattice iff (x V)_i == 0 modulo moduli[i] for every i, where a
-    modulus of 0 demands exact equality.  V^-1 undoes it: every column
-    operation on V is matched by the inverse row operation on V^-1.
-    The nonzero moduli form a divisibility chain d_1 | d_2 | ...
+    modulus of 0 demands exact equality.  The nonzero moduli form a
+    divisibility chain d_1 | d_2 | ...
     """
     a = [row[:] for row in rows]
     k = len(a)
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    v_inv = [r[:] for r in v]
 
     def col_swap(i, j):
         for r in a:
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def col_addmul(dst, src, m):
-        # column dst += m * column src; row src -= m * row dst in V^-1
         for r in a:
             r[dst] += m * r[src]
         for r in v:
             r[dst] += m * r[src]
-        v_inv[src] = [x - m * y for x, y in zip(v_inv[src], v_inv[dst])]
 
     def col_neg(i):
         for r in a:
             r[i] = -r[i]
         for r in v:
             r[i] = -r[i]
-        v_inv[i] = [-x for x in v_inv[i]]
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
@@ -115,7 +107,34 @@ def _smith_moduli(
         left += 1
 
     moduli = diag + [0] * (n - len(diag))
-    return moduli, v, v_inv
+    return moduli, v
+
+
+def _echelon_rows(rows: list[list[int]], n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """A basis of the integer row lattice in echelon form, as (pivot column, row).
+
+    Each row is zero before its pivot column, its pivot is positive, and
+    the pivot columns strictly increase.  This is the Hermite normal
+    form without the reduction above the pivots, which reducing a vector
+    against the rows (AbelianModel.normal_form) does not depend on.
+    """
+    rest = [row[:] for row in rows]
+    basis = []
+    for col in range(n):
+        live = [r for r in rest if r[col]]
+        while len(live) > 1:
+            # Euclid on the column: every other row keeps its remainder
+            piv = min(live, key=lambda r: abs(r[col]))
+            for r in live:
+                if r is not piv:
+                    q = r[col] // piv[col]
+                    r[:] = [x - q * y for x, y in zip(r, piv)]
+            live = [r for r in rest if r[col]]
+        if live:
+            piv = live[0]
+            rest = [r for r in rest if r is not piv]
+            basis.append((col, tuple(x if piv[col] > 0 else -x for x in piv)))
+    return tuple(basis)
 
 
 @dataclass(frozen=True)
@@ -124,14 +143,14 @@ class AbelianModel:
 
     coords(w) transforms the exponent vector of w; w maps into the
     lattice iff every coordinate vanishes modulo the matching modulus
-    (modulus 0 means exact zero).  inverse_transform maps coordinates
-    back to exponent vectors.
+    (modulus 0 means exact zero).  echelon is an echelon basis of the
+    lattice (see _echelon_rows), which normal_form reduces against.
     """
 
     generators: str
     moduli: tuple[int, ...]
     transform: tuple[tuple[int, ...], ...]
-    inverse_transform: tuple[tuple[int, ...], ...]
+    echelon: tuple[tuple[int, tuple[int, ...]], ...]
 
     def coords(self, w: str) -> tuple[int, ...]:
         x = exponent_vector(w, self.generators)
@@ -144,28 +163,29 @@ class AbelianModel:
     def normal_form(self, w: str) -> str:
         """The word a_1^e_1 ... a_n^e_n naming the image of w.
 
-        Each coordinate with modulus d > 0 is reduced into (-d/2, d/2],
-        so words with the same image get the same normal form.
+        The exponent vector of w is reduced against the echelon rows in
+        pivot order, each bringing its pivot coordinate into (-d/2, d/2]
+        for its pivot d.  Two reduced vectors that differ by a lattice
+        vector agree at the first pivot, then at the next, and so on, so
+        words with the same image get the same normal form.
         """
-        reduced = []
-        for c, m in zip(self.coords(w), self.moduli):
-            if m:
-                c %= m
-                c -= m if 2 * c > m else 0
-            reduced.append(c)
-        back = self.inverse_transform
-        n = len(self.generators)
-        exps = (sum(reduced[i] * back[i][j] for i in range(n)) for j in range(n))
+        x = list(exponent_vector(w, self.generators))
+        for col, row in self.echelon:
+            d = row[col]
+            r = x[col] % d
+            r -= d if 2 * r > d else 0
+            q = (x[col] - r) // d
+            x = [a - q * b for a, b in zip(x, row)]
         return "".join(g * e if e >= 0 else g.upper() * -e
-                       for g, e in zip(self.generators, exps))
+                       for g, e in zip(self.generators, x))
 
 
 def abelian_model(generators: str, relators: tuple[str, ...]) -> AbelianModel:
     n = len(generators)
     rows = [list(exponent_vector(r, generators)) for r in relators]
-    moduli, v, v_inv = _smith_moduli(rows, n)
+    moduli, v = _smith_moduli(rows, n)
     return AbelianModel(generators, tuple(moduli), tuple(tuple(r) for r in v),
-                        tuple(tuple(r) for r in v_inv))
+                        _echelon_rows(rows, n))
 
 
 def _solve_congruence(a: int, y: int, m: int):

@@ -22,11 +22,11 @@ from .words import (
     free_reduce,
     inverse,
     mul,
-    mul2,
     power,
     primitive_root,
     rotate,
     validate_word,
+    word_letters,
 )
 
 FREE = "free"
@@ -172,15 +172,23 @@ def _rewrite_rules(pres: Presentation) -> tuple[re.Pattern, dict]:
 
     The index maps every prefix s[:j] longer than half of a marked
     rotation s to the mark of s and the replacement inverse(s[j:]).  The
-    pattern has one alternative per marked rotation s: s[:h] with
-    h = len(s) // 2 + 1, then each further letter of s as a nested
-    greedy optional, so it matches the longest prefix of s that fits,
-    also one cut short by the end of the word.  Only built for C'(1/6)
-    presentations, where no two rotations share such a prefix (see
-    dehn_greedy_trace).  Without relators the pattern matches nothing.
+    pattern is a trie over the heads s[:h], h = len(s) // 2 + 1, of the
+    marked rotations: it branches on one letter at a time, so at each
+    position the regular expression engine follows one branch instead
+    of trying every rotation.  Each head is followed by the further
+    letters of its rotation as nested greedy optionals, so the match is
+    the longest prefix of s that fits, also one cut short by the end of
+    the word.
+
+    Only built for C'(1/6) presentations.  There a common prefix of two
+    distinct marked rotations is a piece, shorter than a sixth of either
+    relator, so no head is a prefix of another and at most one rotation
+    matches at any position: the trie finds the same match as one
+    alternative per rotation would.  Without relators the pattern
+    matches nothing.
     """
     index = {}
-    alternatives = []
+    trie: dict = {}
     for s, mark in _marked_rotations(pres):
         h = len(s) // 2 + 1
         for j in range(h, len(s) + 1):
@@ -188,8 +196,20 @@ def _rewrite_rules(pres: Presentation) -> tuple[re.Pattern, dict]:
         tail = ""
         for c in reversed(s[h:]):
             tail = f"(?:{c}{tail})?"
-        alternatives.append(s[:h] + tail)
-    return re.compile("|".join(alternatives) or "(?!)"), index
+        node = trie
+        for c in s[:h]:
+            node = node.setdefault(c, {})
+        node[""] = tail
+    return re.compile(_trie_regex(trie) if trie else "(?!)"), index
+
+
+def _trie_regex(node: dict) -> str:
+    """Regular expression for a trie node: one branch per next letter.
+
+    The key "" ends a head; its value is the head's tail pattern.
+    """
+    branches = [sub if c == "" else c + _trie_regex(sub) for c, sub in node.items()]
+    return branches[0] if len(branches) == 1 else "(?:" + "|".join(branches) + ")"
 
 
 def dehn_greedy_trace(w: str, pres: Presentation):
@@ -205,24 +225,33 @@ def dehn_greedy_trace(w: str, pres: Presentation):
     Uniqueness: a common prefix of two distinct marked rotations is a
     piece, and under C'(1/6) a piece is shorter than a sixth of its
     relator.  So a prefix longer than half of a marked rotation belongs
-    to that rotation alone, and at any position at most one alternative
-    of the compiled pattern (_rewrite_rules) matches, whatever their
-    order.  The leftmost match of the pattern is therefore the match a
-    scan over all positions and rotations finds first, and its greedy
-    optionals make it the longest.
+    to that rotation alone, and at any position at most one branch of
+    the compiled trie (_rewrite_rules) matches.  The leftmost match of
+    the pattern is therefore the match a scan over all positions and
+    rotations finds first, and its greedy optionals make it the longest.
 
-    Resume: the word and the inserted replacement are both reduced, so
-    letters cancel only at the two seams of the rewrite.  Let c be the
-    first position the rewrite changed and L the longest relator.  Every
-    window that starts before c - L + 1 ends by c, so it is unchanged
-    and was already found not to match; the search resumes at
-    max(0, c - L + 1) and still finds the leftmost match.
+    Seams: the word and the inserted replacement are both reduced, so
+    letters could cancel only where the replacement meets its
+    neighbours.  A nonempty replacement inverse(s[j:]) cancels neither:
+    a letter before the match that cancels its first letter is the last
+    letter of s, so a match of a rotation of s would start one letter
+    earlier, against leftmost-first; a letter after the match that
+    cancels its last letter is s[j], so the match would be longer,
+    against longest-first.  When the whole of s goes, the letters before
+    and after the match cancel against each other, found by index.
+    Either way the rewritten word is built with one copy.
+
+    Resume: let i be the number of letters before the match that
+    survive the step, and L the longest relator.  Every window that
+    starts before i - L + 1 ends by i, so it is unchanged and was
+    already found not to match; the search resumes at max(0, i - L + 1)
+    and still finds the leftmost match.
 
     Cost: every step shortens the word, and the search backs up at most
     L - 1 letters plus those cancelled, so a whole rewrite tries the
     pattern at O(L * |w|) positions.  The regular expression engine
-    does that in C and skips at each position every alternative whose
-    first letter does not fit.  Each step also copies the word once.
+    does that in C and follows one trie branch per letter.  Each step
+    copies the word once.
     """
     if not check_c16(pres):
         raise ValueError("greedy rewriting requires the C'(1/6) condition")
@@ -232,16 +261,16 @@ def dehn_greedy_trace(w: str, pres: Presentation):
     steps: list[tuple[int, tuple[int, int, int], int]] = []
     start = 0
     while (m := pattern.search(w, start)) is not None:
-        pos, end = m.span()
+        i, e = m.span()
         mark, piece = index[m.group()]
-        n = len(w)
-        left = mul2(w[:pos], piece)
-        w = mul2(left, w[end:])
-        steps.append((pos, mark, end - pos))
-        cut_left = (pos + len(piece) - len(left)) // 2
-        cut_right = (len(left) + n - end - len(w)) // 2
-        changed = min(pos - cut_left, len(left) - cut_right)
-        start = max(0, changed - longest + 1)
+        steps.append((i, mark, e - i))
+        if not piece:
+            n = len(w)
+            while i > 0 and e < n and w[i - 1] == w[e].swapcase():
+                i -= 1
+                e += 1
+        w = w[:i] + piece + w[e:]
+        start = max(0, i - longest + 1)
     return w, tuple(steps)
 
 
@@ -443,7 +472,7 @@ def _power_by_scan(w, u, pres, strat) -> PowerDecision:
 
 def _spelled_in(pres: Presentation, *words: str) -> bool:
     """True when every letter of the words is a generator of pres or its inverse."""
-    return set("".join(words)) <= set(pres.generators + pres.generators.upper())
+    return word_letters(pres.generators).issuperset("".join(words))
 
 
 def check_decision(dec: Decision, w: str, pres: Presentation) -> bool:

@@ -24,6 +24,7 @@ from .words import (
     power,
     primitive_root,
     validate_word,
+    word_letters,
 )
 
 
@@ -219,7 +220,7 @@ def replay_trace(result: ConjugacyResult, U, V, setup: SubdirectSetup, strat: St
     """
     U = validate_pair(U, setup.pres.generators)
     V = validate_pair(V, setup.pres.generators)
-    letters = set(setup.pres.generators + setup.pres.generators.upper())
+    letters = word_letters(setup.pres.generators)
     match result:
         case ConjugacyResult(
             Verdict.YES,

@@ -11,28 +11,36 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 def is_word(s: str) -> bool:
-    """True if every character is an ASCII letter."""
-    return all(c.isascii() and c.isalpha() for c in s)
+    """True if every character is an ASCII letter; TypeError if s is not a str."""
+    if not isinstance(s, str):
+        raise TypeError(f"a word is a str, not {type(s).__name__}")
+    return s == "" or (s.isascii() and s.isalpha())
+
+
+@lru_cache(maxsize=64)
+def word_letters(generators: str) -> frozenset[str]:
+    """The letters of words over the generators: each generator and its inverse."""
+    return frozenset(generators + generators.upper())
 
 
 def validate_word(s: str, generators: str | None = None) -> None:
     """Raise ValueError unless s is a word, optionally over the given generators.
 
-    generators, when given, is a string of lowercase letters.
+    generators, when given, is a string of lowercase letters.  The error
+    names the first offending letter.
     """
     if not is_word(s):
         bad = next(c for c in s if not (c.isascii() and c.isalpha()))
         raise ValueError(f"invalid letter {bad!r} in word {s!r}")
     if generators is not None:
-        allowed = set(generators) | set(generators.upper())
-        for c in s:
-            if c not in allowed:
-                raise ValueError(
-                    f"letter {c!r} in word {s!r} is not over generators {generators!r}"
-                )
+        allowed = word_letters(generators)
+        if not allowed.issuperset(s):
+            bad = next(c for c in s if c not in allowed)
+            raise ValueError(f"letter {bad!r} in word {s!r} is not over generators {generators!r}")
 
 
 def inverse(w: str) -> str:

@@ -49,10 +49,9 @@ def test_relators_vanish_and_transform_inverts(relators):
     m = abelian_model("abc", tuple(relators))
     for r in relators:
         assert not any(m.residues(r))
-    n = len(m.generators)
-    v, v_inv = m.transform, m.inverse_transform
-    product = [[sum(v[i][k] * v_inv[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+    # V is invertible over the integers: its determinant is a unit
+    (a, b, c), (d, e, f), (g, h, i) = m.transform
+    assert a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) in (1, -1)
     nonzero = [d for d in m.moduli if d]
     assert all(y % x == 0 for x, y in zip(nonzero, nonzero[1:]))
 
@@ -72,6 +71,13 @@ def test_normal_form_examples():
     z4 = abelian_model("a", ("aaaa",))
     # (-2, 2] keeps the positive exponent on the tie
     assert [z4.normal_form("a" * e) for e in range(4)] == ["", "a", "aa", "A"]
+
+
+def test_normal_form_spells_the_generators_not_the_smith_basis():
+    # Z/4 x Z/6: the Smith basis mixes a and b, the echelon basis does not
+    z4z6 = abelian_model("ab", ("aaaa", "bbbbbb", "abAB"))
+    assert z4z6.normal_form("bbbb") == "BB"
+    assert z4z6.normal_form("aaabbb") == "Abbb"
 
 
 def test_power_solutions_point():

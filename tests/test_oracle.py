@@ -1,6 +1,7 @@
 """Strategy selection, certification, greedy rewriting, and deciders."""
 
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,6 +12,7 @@ from fibreconj.decisions import Decision, PowerDecision, Verdict
 from fibreconj.oracle import (
     _marked_rotations,
     _power_by_scan,
+    _rewrite_rules,
     auto_strategy,
     certified_abelian,
     check_c16,
@@ -181,6 +183,13 @@ def _rewrite_inputs(pres: Presentation):
 # the whole relator goes, CCCC cancels cccc across the gap, and the next
 # match starts four letters before where the relator was
 @example((G2, "abAB" + "CCCC" + "abABcdCD" + "cccc" + "cdCD"))
+# the whole relator goes and the cancellation runs on through both
+# neighbours to the empty word.  A nonempty replacement never cancels
+# (see dehn_greedy_trace), so this is the only way a step cancels
+@example((G2, "bCCC" + "abABcdCD" + "cccB"))
+# the neighbours of a nonempty replacement are inverse to each other but
+# not adjacent, so nothing cancels
+@example((G2, "a" + "abABc" + "A"))
 # the word ends eight letters into the twelve-letter relator: the match
 # is cut short by the end of the word
 @example((G2G3, "aa" + "efEFghGH"))
@@ -192,6 +201,28 @@ def _rewrite_inputs(pres: Presentation):
 def test_dehn_trace_matches_leftmost_rescan(case):
     pres, w = case
     assert dehn_greedy_trace(w, pres) == _leftmost_rescan(w, pres)
+
+
+def _flat_pattern(pres: Presentation) -> re.Pattern:
+    """One alternative per marked rotation s: its head, then each further letter optional."""
+    alternatives = []
+    for s, _ in _marked_rotations(pres):
+        h = len(s) // 2 + 1
+        tail = ""
+        for c in reversed(s[h:]):
+            tail = f"(?:{c}{tail})?"
+        alternatives.append(s[:h] + tail)
+    return re.compile("|".join(alternatives))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([G2, G3, G2G3]).flatmap(lambda p: st.tuples(st.just(p), _rewrite_inputs(p))))
+def test_trie_pattern_matches_flat_pattern(case):
+    pres, w = case
+    trie, flat = _rewrite_rules(pres)[0], _flat_pattern(pres)
+    for start in range(len(w) + 1):
+        got, want = trie.match(w, start), flat.match(w, start)
+        assert (got and got.span()) == (want and want.span())
 
 
 def test_dehn_long_relator_product():

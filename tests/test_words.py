@@ -15,6 +15,7 @@ from fibreconj.words import (
     free_reduce,
     inverse,
     is_proper_power,
+    is_word,
     is_reduced,
     letter_key,
     mul,
@@ -168,6 +169,29 @@ def test_validate_and_io():
     with pytest.raises(ValueError):
         validate_word("ab", "a")
     validate_word("ab", None)
+
+
+def test_validate_word_names_the_first_bad_letter():
+    long = "ab" * 2_000 + "c" + "AB" * 500 + "d"
+    assert len(long) == 5_002
+    with pytest.raises(ValueError) as e:
+        validate_word(long, "ab")
+    assert str(e.value) == f"letter 'c' in word {long!r} is not over generators 'ab'"
+    with pytest.raises(ValueError) as e:
+        validate_word("abCa", "ab")
+    assert str(e.value) == "letter 'C' in word 'abCa' is not over generators 'ab'"
+    # a non-ASCII letter is no letter of any word, whatever the generators
+    for gens in ("ab", None):
+        with pytest.raises(ValueError) as e:
+            validate_word("abéab1", gens)
+        assert str(e.value) == "invalid letter 'é' in word 'abéab1'"
+    assert not is_word("aé") and not is_word("a b") and is_word("") and is_word("aBz")
+    with pytest.raises(TypeError):
+        is_word(None)
+    with pytest.raises(TypeError):
+        validate_word(None, "ab")
+    validate_word("", "ab")
+    validate_word("aBAb" * 1_000, "ab")
 
 
 @given(st.integers(0, 10_000), st.integers(0, 10))
