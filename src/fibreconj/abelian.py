@@ -2,112 +2,19 @@
 
 The quotient Q = F(X)/<<R>> maps onto Z^n / L where n is the number of
 generators and L is the sublattice spanned by the exponent vectors of
-the relators.  Reducing that pair to a diagonal normal form gives exact
-membership tests in the abelianization, which are sound No-certificates
-for the word problem in Q and exact decisions whenever Q is abelian,
-and one normal form word for each element of the abelianization.
+the relators.  Reducing exponent vectors against an echelon basis of L
+gives one representative for each coset: exact membership tests in the
+abelianization, which are sound No-certificates for the word problem
+in Q and exact decisions whenever Q is abelian, one normal form word
+for each element of the abelianization, and the exponents p with
+w = u^p there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .words import exponent_vector
-
-
-def _smith_moduli(rows: list[list[int]], n: int) -> tuple[list[int], list[list[int]]]:
-    """Diagonalize the integer row lattice, returning (moduli, V).
-
-    V is the unimodular column transform: a vector x lies in the row
-    lattice iff (x V)_i == 0 modulo moduli[i] for every i, where a
-    modulus of 0 demands exact equality.  The nonzero moduli form a
-    divisibility chain d_1 | d_2 | ...
-    """
-    a = [row[:] for row in rows]
-    k = len(a)
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def col_addmul(dst, src, m):
-        for r in a:
-            r[dst] += m * r[src]
-        for r in v:
-            r[dst] += m * r[src]
-
-    def col_neg(i):
-        for r in a:
-            r[i] = -r[i]
-        for r in v:
-            r[i] = -r[i]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-
-    def row_addmul(dst, src, m):
-        a[dst] = [x + m * y for x, y in zip(a[dst], a[src])]
-
-    diag: list[int] = []
-    top = 0
-    left = 0
-    while top < k and left < n:
-        # locate a minimal nonzero pivot in the remaining block
-        pivot = None
-        for i in range(top, k):
-            for j in range(left, n):
-                x = a[i][j]
-                if x and (pivot is None or abs(x) < abs(pivot[2])):
-                    pivot = (i, j, x)
-        if pivot is None:
-            break
-        pi, pj, _ = pivot
-        row_swap(top, pi)
-        if pj != left:
-            col_swap(left, pj)
-        # clear the pivot row and column by Euclidean steps, until the
-        # pivot also divides the whole remaining block
-        while True:
-            dirty = False
-            p = a[top][left]
-            for i in range(top + 1, k):
-                if a[i][left]:
-                    q = a[i][left] // p
-                    row_addmul(i, top, -q)
-                    if a[i][left]:
-                        row_swap(top, i)
-                        dirty = True
-                        p = a[top][left]
-            for j in range(left + 1, n):
-                if a[top][j]:
-                    q = a[top][j] // p
-                    col_addmul(j, left, -q)
-                    if a[top][j]:
-                        col_swap(left, j)
-                        dirty = True
-                        p = a[top][left]
-            if dirty:
-                continue
-            # a row of the remaining block that the pivot does not divide
-            # moves into the pivot row, where the column steps leave its
-            # remainders as smaller pivots
-            rest = next((i for i in range(top + 1, k)
-                         if any(x % p for x in a[i][left + 1 :])), None)
-            if rest is None:
-                break
-            row_addmul(top, rest, 1)
-        if a[top][left] < 0:
-            col_neg(left)
-        diag.append(a[top][left])
-        top += 1
-        left += 1
-
-    moduli = diag + [0] * (n - len(diag))
-    return moduli, v
 
 
 def _echelon_rows(rows: list[list[int]], n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -116,7 +23,7 @@ def _echelon_rows(rows: list[list[int]], n: int) -> tuple[tuple[int, tuple[int, 
     Each row is zero before its pivot column, its pivot is positive, and
     the pivot columns strictly increase.  This is the Hermite normal
     form without the reduction above the pivots, which reducing a vector
-    against the rows (AbelianModel.normal_form) does not depend on.
+    against the rows (_reduce) does not depend on.
     """
     rest = [row[:] for row in rows]
     basis = []
@@ -137,115 +44,74 @@ def _echelon_rows(rows: list[list[int]], n: int) -> tuple[tuple[int, tuple[int, 
     return tuple(basis)
 
 
+def _reduce(x, echelon) -> tuple[int, ...]:
+    """The representative of x + L, for L the lattice spanned by echelon.
+
+    The rows are taken in pivot order, each bringing its pivot
+    coordinate into (-d/2, d/2] for its pivot d; later rows are zero
+    there, so it stays.  Two vectors that differ by a lattice vector
+    agree after the first pivot is reduced, then the next, and so on, so
+    the result depends only on the coset, and it is zero iff x lies in L.
+    """
+    x = list(x)
+    for col, row in echelon:
+        d = row[col]
+        r = x[col] % d
+        r -= d if 2 * r > d else 0
+        q = (x[col] - r) // d
+        x = [a - q * b for a, b in zip(x, row)]
+    return tuple(x)
+
+
 @dataclass(frozen=True)
 class AbelianModel:
-    """Coordinates for Z^n modulo the relator lattice.
+    """Z^n modulo the relator lattice, held as an echelon basis (see _echelon_rows).
 
-    coords(w) transforms the exponent vector of w; w maps into the
-    lattice iff every coordinate vanishes modulo the matching modulus
-    (modulus 0 means exact zero).  echelon is an echelon basis of the
-    lattice (see _echelon_rows), which normal_form reduces against.
+    coords(w) is the exponent vector of w; residues(w) is its reduced
+    representative, which is zero iff w maps to 0 and the same for all
+    words with the same image.
     """
 
     generators: str
-    moduli: tuple[int, ...]
-    transform: tuple[tuple[int, ...], ...]
     echelon: tuple[tuple[int, tuple[int, ...]], ...]
 
     def coords(self, w: str) -> tuple[int, ...]:
-        x = exponent_vector(w, self.generators)
-        n = len(self.generators)
-        return tuple(sum(x[i] * self.transform[i][j] for i in range(n)) for j in range(n))
+        return exponent_vector(w, self.generators)
 
     def residues(self, w: str) -> tuple[int, ...]:
-        return tuple(c % m if m else c for c, m in zip(self.coords(w), self.moduli))
+        return _reduce(self.coords(w), self.echelon)
 
     def normal_form(self, w: str) -> str:
-        """The word a_1^e_1 ... a_n^e_n naming the image of w.
-
-        The exponent vector of w is reduced against the echelon rows in
-        pivot order, each bringing its pivot coordinate into (-d/2, d/2]
-        for its pivot d.  Two reduced vectors that differ by a lattice
-        vector agree at the first pivot, then at the next, and so on, so
-        words with the same image get the same normal form.
-        """
-        x = list(exponent_vector(w, self.generators))
-        for col, row in self.echelon:
-            d = row[col]
-            r = x[col] % d
-            r -= d if 2 * r > d else 0
-            q = (x[col] - r) // d
-            x = [a - q * b for a, b in zip(x, row)]
+        """The word a_1^e_1 ... a_n^e_n spelling residues(w)."""
         return "".join(g * e if e >= 0 else g.upper() * -e
-                       for g, e in zip(self.generators, x))
+                       for g, e in zip(self.generators, self.residues(w)))
 
 
 def abelian_model(generators: str, relators: tuple[str, ...]) -> AbelianModel:
-    n = len(generators)
     rows = [list(exponent_vector(r, generators)) for r in relators]
-    moduli, v = _smith_moduli(rows, n)
-    return AbelianModel(generators, tuple(moduli), tuple(tuple(r) for r in v),
-                        _echelon_rows(rows, n))
-
-
-def _solve_congruence(a: int, y: int, m: int):
-    """Solution set of a*p == y (mod m) as (base, step), or None if empty.
-
-    step 0 encodes a single point; m == 0 means exact equality over Z.
-    """
-    if m == 0:
-        if a == 0:
-            return (0, 1) if y == 0 else None
-        if y % a:
-            return None
-        return (y // a, 0)
-    a %= m
-    y %= m
-    if a == 0:
-        return (0, 1) if y == 0 else None
-    g = gcd(a, m)
-    if y % g:
-        return None
-    a2, y2, m2 = a // g, y // g, m // g
-    base = (y2 * pow(a2, -1, m2)) % m2
-    return (base, m2)
-
-
-def _intersect(s1, s2):
-    """Intersect two (base, step) solution sets; None is empty."""
-    if s1 is None or s2 is None:
-        return None
-    b1, k1 = s1
-    b2, k2 = s2
-    if k1 == 0 and k2 == 0:
-        return s1 if b1 == b2 else None
-    if k1 == 0:
-        return s1 if (b1 - b2) % k2 == 0 else None
-    if k2 == 0:
-        return s2 if (b2 - b1) % k1 == 0 else None
-    g = gcd(k1, k2)
-    if (b2 - b1) % g:
-        return None
-    lcm = k1 * k2 // g
-    # CRT: find t with b1 + k1*t == b2 (mod k2)
-    t = ((b2 - b1) // g * pow(k1 // g, -1, k2 // g)) % (k2 // g)
-    return ((b1 + k1 * t) % lcm, lcm)
+    return AbelianModel(generators, _echelon_rows(rows, len(generators)))
 
 
 def power_solutions(model: AbelianModel, w: str, u: str):
     """All integers p with w == u^p in the abelianized quotient.
 
     Returns (base, step) with step 0 a single point and step 1 all of Z,
-    or None when no integer satisfies the system.
+    or None when no integer satisfies the system.  The rows (r, 0) for r
+    in L and (x_u, 1) span the lattice M of Z^(n+1) holding (x, t)
+    exactly when x - t x_u lies in L.  Reducing (x_w, 0) against an
+    echelon basis of M leaves (y, s), and (x_w, p) lies in M iff (y, s + p)
+    does.  That needs y = 0, and then s + p must be a multiple of the
+    last-column pivot o, or zero when M has none.
     """
-    yw = model.coords(w)
-    au = model.coords(u)
-    sol = (0, 1)
-    for a, y, m in zip(au, yw, model.moduli):
-        sol = _intersect(sol, _solve_congruence(a, y, m))
-        if sol is None:
-            return None
-    return sol
+    n = len(model.generators)
+    rows = [list(row) + [0] for _, row in model.echelon]
+    rows.append(list(model.coords(u)) + [1])
+    echelon = _echelon_rows(rows, n + 1)
+    *y, s = _reduce(model.coords(w) + (0,), echelon)
+    if any(y):
+        return None
+    o = echelon[-1][1][n] if echelon[-1][0] == n else 0
+    return (-s % o, o) if o else (-s, 0)
 
 
 def minimal_power(sol) -> int | None:

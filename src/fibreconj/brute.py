@@ -266,19 +266,22 @@ class RandomInstance(NamedTuple):
     conjugator: PairElement | None
 
 
+MIX_RATIO = 0.5  # share of random_instances built as an explicit conjugate
+CONJ_LEN = 4  # most P-generators in the conjugator of such an instance
+
+
 def random_instances(
     setup: SubdirectSetup,
     seed: int,
     count: int,
-    mix_ratio: float = 0.5,
     max_len: int = 6,
-    conj_len: int = 4,
 ) -> Iterator[RandomInstance]:
     """Deterministic stream of conjugacy instances over P.
 
     Base pairs are random products of the P-generators, redrawn until
-    both coordinates are short; a mix_ratio fraction of instances gets a
-    conjugated partner, the rest an independent draw.
+    both coordinates are short; a MIX_RATIO fraction of instances gets a
+    partner conjugated by a product of at most CONJ_LEN P-generators,
+    the rest an independent draw.
     """
     rng = random.Random(seed)
     dirs = _directions(setup)
@@ -293,11 +296,11 @@ def random_instances(
                 return g
 
     for i in range(count):
-        flag = int((i + 1) * mix_ratio) - int(i * mix_ratio) == 1
+        flag = int((i + 1) * MIX_RATIO) - int(i * MIX_RATIO) == 1
         u = draw_pair()
         if flag:
             g = PairElement("", "")
-            for _ in range(rng.randint(0, conj_len)):
+            for _ in range(rng.randint(0, CONJ_LEN)):
                 g = pair_mul(g, rng.choice(dirs))
             v = pair_mul(pair_inverse(g), u, g)
             yield RandomInstance(u, v, True, g)

@@ -286,6 +286,8 @@ def replay_dehn_trace(w: str, steps, pres: Presentation) -> str:
         marks[mark] = s
     w = free_reduce(w)
     for pos, mark, j in steps:
+        if not (type(pos) is int and 0 <= pos):  # w[-1:] and w[True:] would slice too
+            raise ValueError(f"step position {pos!r} is no index into the word")
         s = marks[mark]
         if not (len(s) // 2 < j <= len(s)):
             raise ValueError(f"step length {j} out of range for {s!r}")
@@ -317,12 +319,11 @@ def wp_decide(w: str, pres: Presentation, strat: StrategySpec) -> Decision:
         return Decision(verdict, ("free", w))
 
     if strat.kind == ABELIAN:
-        model = _model(pres)
-        residues = model.residues(w)
+        residues = _model(pres).residues(w)
         if any(residues):
-            return Decision(Verdict.NO, ("abelian", residues, model.moduli))
+            return Decision(Verdict.NO, ("abelian", residues))
         if strat.exactness_claim:
-            return Decision(Verdict.YES, ("abelian", residues, model.moduli))
+            return Decision(Verdict.YES, ("abelian", residues))
         return Decision(Verdict.UNKNOWN, ("budget", "abelianization inconclusive"))
 
     if strat.kind == DEHN:
@@ -396,9 +397,7 @@ def power_decide(w: str, u: str, pres: Presentation, strat: StrategySpec) -> Pow
         model = _model(pres)
         sol = power_solutions(model, w, u)
         if sol is None:
-            return PowerDecision(
-                Verdict.NO, None, ("lattice", model.coords(w), model.coords(u), model.moduli)
-            )
+            return PowerDecision(Verdict.NO, None, ("lattice", model.coords(w), model.coords(u)))
         if not strat.exactness_claim:
             return PowerDecision(Verdict.UNKNOWN, None, ("budget", "abelianization inconclusive"))
         p = minimal_power(sol)
@@ -492,12 +491,11 @@ def check_decision(dec: Decision, w: str, pres: Presentation) -> bool:
             return w == ""
         case Decision(Verdict.NO, ("free", str(reduced))) if not pres.relators:
             return reduced == w != ""
-        case Decision(Verdict.YES | Verdict.NO, ("abelian", residues, moduli)) if (
+        case Decision(Verdict.YES | Verdict.NO, ("abelian", residues)) if (
             dec.no or certified_abelian(pres)  # zero residues prove w = 1 only then
         ):
-            model = _model(pres)
-            actual = model.residues(w)
-            return (residues, moduli) == (actual, model.moduli) and dec.yes != any(actual)
+            actual = _model(pres).residues(w)
+            return residues == actual and dec.yes != any(actual)
         case Decision(Verdict.YES | Verdict.NO, ("dehn", tuple(steps), str(terminal))):
             try:
                 replayed = replay_dehn_trace(w, steps, pres)
@@ -551,9 +549,9 @@ def check_power_decision(pd: PowerDecision, w: str, u: str, pres: Presentation) 
             ru = primitive_root(u)
             fits = rw.exponent % ru.exponent == 0 and rw.root in (ru.root, inverse(ru.root))
             return roots == (rw.root, rw.exponent, ru.root, ru.exponent) and not fits
-        case PowerDecision(Verdict.NO, None, ("lattice", cw, cu, moduli)):
+        case PowerDecision(Verdict.NO, None, ("lattice", cw, cu)):
             model = _model(pres)
-            return (cw, cu, moduli) == (model.coords(w), model.coords(u), model.moduli) and (
+            return (cw, cu) == (model.coords(w), model.coords(u)) and (
                 power_solutions(model, w, u) is None
             )
         case PowerDecision(Verdict.NO, None, ("commutator", Decision(Verdict.NO) as comm)):

@@ -200,28 +200,12 @@ def is_proper_power(w: str) -> bool:
     return bool(w) and primitive_root(w).exponent >= 2
 
 
-def letter_key(generators: str):
-    """Sort key ordering letters by generator, lowercase before uppercase.
-
-    With generators "ab" the order is a < A < b < B.  Words compare by
-    length first, then letter by letter in this order.
-    """
-    rank = {}
-    for i, g in enumerate(generators):
-        rank[g] = 2 * i
-        rank[g.upper()] = 2 * i + 1
-
-    def key(w: str) -> tuple:
-        return (len(w), tuple(rank[c] for c in w))
-
-    return key
-
-
 def reduced_words(generators: str, max_len: int):
     """Yield all freely reduced words of length <= max_len in length-lex order.
 
-    The letter order is the one from letter_key: each generator's inverse
-    follows it, before the next generator.
+    Words compare by length first, then letter by letter, where each
+    generator's inverse follows it, before the next generator: with
+    generators "ab" the letter order is a < A < b < B.
     """
     letters = []
     for g in generators:

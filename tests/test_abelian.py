@@ -1,22 +1,9 @@
-"""Abelianized model: lattice membership and power congruences."""
+"""Abelianized model: lattice membership, normal forms and power solutions."""
 
 from hypothesis import given, strategies as st
 
 from fibreconj.abelian import abelian_model, minimal_power, power_solutions
-
-
-def test_moduli_examples():
-    assert abelian_model("a", ("aaa",)).moduli == (3,)
-    assert abelian_model("ab", ("abAB",)).moduli == (0, 0)
-    assert abelian_model("ab", ("b",)).moduli == (1, 0)
-    assert abelian_model("ab", ()).moduli == (0, 0)
-
-
-def test_divisibility_chain():
-    m = abelian_model("abc", ("aa", "bbbb", "cccccc")).moduli
-    nonzero = [d for d in m if d]
-    for x, y in zip(nonzero, nonzero[1:]):
-        assert y % x == 0
+from fibreconj.words import inverse, mul, power
 
 
 def test_triviality():
@@ -32,11 +19,8 @@ def test_triviality():
 
 
 def test_coprime_orders_stay_trivial():
-    # Z/2 x Z/3 has invariant factor 6 alone; the coordinate change that
-    # merges 2 and 3 into 6 must reach the transform too, or b^3 reads
-    # as nontrivial
+    # Z/2 x Z/3 is cyclic of order 6, but b^3 and a^2 are still trivial
     m = abelian_model("ab", ("aa", "bbb"))
-    assert m.moduli == (1, 6)
     assert m.residues("bbb") == m.residues("aa") == (0, 0)
     assert m.residues("ab") != (0, 0)
 
@@ -45,15 +29,10 @@ _relators = st.lists(st.text("aAbBc", min_size=1, max_size=8), min_size=1, max_s
 
 
 @given(_relators)
-def test_relators_vanish_and_transform_inverts(relators):
+def test_relators_vanish(relators):
     m = abelian_model("abc", tuple(relators))
     for r in relators:
         assert not any(m.residues(r))
-    # V is invertible over the integers: its determinant is a unit
-    (a, b, c), (d, e, f), (g, h, i) = m.transform
-    assert a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) in (1, -1)
-    nonzero = [d for d in m.moduli if d]
-    assert all(y % x == 0 for x, y in zip(nonzero, nonzero[1:]))
 
 
 @given(_relators, st.text("aAbBc", max_size=10))
@@ -74,7 +53,7 @@ def test_normal_form_examples():
 
 
 def test_normal_form_spells_the_generators_not_the_smith_basis():
-    # Z/4 x Z/6: the Smith basis mixes a and b, the echelon basis does not
+    # Z/4 x Z/6: b^4 is spelled in b alone, not in a basis that mixes a and b
     z4z6 = abelian_model("ab", ("aaaa", "bbbbbb", "abAB"))
     assert z4z6.normal_form("bbbb") == "BB"
     assert z4z6.normal_form("aaabbb") == "Abbb"
@@ -115,3 +94,39 @@ def test_power_solutions_complete_cyclic(target, order):
     p = minimal_power(sol)
     assert (p - target) % order == 0
     assert abs(p) <= order // 2
+
+
+def _in_solutions(p, sol):
+    if sol is None:
+        return False
+    base, step = sol
+    return p == base if step == 0 else (p - base) % step == 0
+
+
+@given(_relators, st.text("aAbBc", max_size=10), st.text("aAbBc", max_size=6))
+def test_power_solutions_are_exactly_the_powers(relators, w, u):
+    m = abelian_model("abc", tuple(relators))
+    sol = power_solutions(m, w, u)
+    for p in range(-40, 41):
+        assert _in_solutions(p, sol) == (not any(m.residues(mul(w, inverse(power(u, p))))))
+
+
+def test_power_solutions_z4_x_z6():
+    z4z6 = abelian_model("ab", ("aaaa", "bbbbbb", "abAB"))
+    # ab has order 12; a^3 b^3 = (ab)^3, and a^-3 b^3 = a b^3 = (ab)^9 = (ab)^-3
+    assert power_solutions(z4z6, "aaabbb", "ab") == (3, 12)
+    assert minimal_power(power_solutions(z4z6, "AAAbbb", "ab")) == -3
+    assert power_solutions(z4z6, "aa", "bb") is None
+    assert power_solutions(z4z6, "ab", "aabb") is None
+    # b^4 = (b^2)^2 = (b^2)^-1 and b^2 has order 3
+    assert power_solutions(z4z6, "bbbb", "bb") == (2, 3)
+    assert minimal_power(power_solutions(z4z6, "bbbb", "bb")) == -1
+
+
+def test_power_solutions_coprime_orders():
+    # <a, b | a^2, b^3>: b^3 = 1 = (ab)^0 = (ab)^6, and b = (ab)^4
+    m = abelian_model("ab", ("aa", "bbb"))
+    assert power_solutions(m, "bbb", "ab") == (0, 6)
+    assert power_solutions(m, "b", "ab") == (4, 6)
+    assert minimal_power(power_solutions(m, "b", "ab")) == -2
+    assert power_solutions(m, "a", "b") is None

@@ -94,9 +94,7 @@ def test_random_instances_deterministic():
 
 def test_random_instances_mix_and_bounds():
     setup = canonical_setup(Z2)
-    instances = list(
-        random_instances(setup, 7, 100, mix_ratio=0.5, max_len=6, conj_len=4)
-    )
+    instances = list(random_instances(setup, 7, 100))
     assert len(instances) == 100
     assert sum(1 for i in instances if i.constructed) == 50
     for inst in instances:

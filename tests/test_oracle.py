@@ -344,7 +344,7 @@ def test_forged_abelian_yes_is_rejected():
     pres = Presentation("ab", ("aabbAABB",))
     assert not certified_abelian(pres)
     model = abelian_model(pres.generators, pres.relators)
-    forged = Decision(Verdict.YES, ("abelian", model.residues("abAB"), model.moduli))
+    forged = Decision(Verdict.YES, ("abelian", model.residues("abAB")))
     assert not check_decision(forged, "abAB", pres)
     # an abelian No stays sound without the certification
     dec = wp_decide("a", pres, make_strategy(pres, "abelian"))
@@ -371,6 +371,9 @@ def test_malformed_certificates_are_rejected():
         (Decision(Verdict.NO, ("dehn", (None,), "ab")), "ab", G2),
         (Decision(Verdict.YES, ("dehn", None, "")), "abABcdCD", G2),
         (Decision(Verdict.NO, ("dehn", ((0, (0, 1, 0), "x"),), "ab")), "ab", G2),
+        # a step position must be an index into the word, not one from its end or a bool
+        (Decision(Verdict.YES, ("dehn", ((-9, (0, 1, 0), 8),), "")), "cabABcdCDC", G2),
+        (Decision(Verdict.YES, ("dehn", ((True, (0, 1, 0), 8),), "")), "cabABcdCDC", G2),
         (Decision(Verdict.YES, ("product", VanKampenProduct((("", "ab"),)))), "ab", Z2),
         (Decision(Verdict.YES, ("product", VanKampenProduct(None))), "abAB", Z2),
         (Decision(Verdict.YES, ("product", VanKampenProduct(((None, "abAB"),)))), "abAB", Z2),
@@ -401,7 +404,7 @@ def test_malformed_certificates_are_rejected():
         (PowerDecision(no, None, ("order", 3, dk, (("x", scanned[0][1]),))), "b", "a", ZXZ3),
         # the exponent of a Yes and its recorded words must be the real ones
         (PowerDecision(Verdict.YES, 4, ("power", 3, four.certificate[2])), "aaaa", "a", G2),
-        (PowerDecision(no, None, ("lattice", (), (), ())), "ab", "b", Z),
+        (PowerDecision(no, None, ("lattice", (), ())), "ab", "b", Z),
     ]
     for pd, w, u, pres in powers:
         assert check_power_decision(pd, w, u, pres) is False, pd
@@ -435,8 +438,7 @@ def test_forged_well_formed_certificates_are_rejected():
 
 def test_certificates_for_words_outside_the_generators_are_rejected():
     # each certificate would fit x if x were a letter of the presentation
-    model = abelian_model(Z2.generators, Z2.relators)
-    zero = Decision(Verdict.YES, ("abelian", (0, 0), model.moduli))
+    zero = Decision(Verdict.YES, ("abelian", (0, 0)))
     assert not check_decision(zero, "x", Z2)
     assert not check_power_decision(PowerDecision(Verdict.YES, 0, ("power", 0, zero)), "x", "a", Z2)
     assert not check_decision(Decision(Verdict.NO, ("dehn", (), "x")), "x", G2)

@@ -17,7 +17,6 @@ from fibreconj.words import (
     is_proper_power,
     is_word,
     is_reduced,
-    letter_key,
     mul,
     mul2,
     parse_word,
@@ -148,8 +147,9 @@ def test_reduced_words_order_and_count():
     assert ws[:5] == ["", "a", "A", "b", "B"]
     assert len(ws) == 1 + 4 + 12
     assert all(is_reduced(w) for w in ws)
-    key = letter_key("ab")
-    assert ws == sorted(ws, key=key)
+    # length first, then letter by letter in the order a < A < b < B
+    rank = {c: i for i, c in enumerate("aAbB")}
+    assert ws == sorted(ws, key=lambda w: (len(w), [rank[c] for c in w]))
     # single generator enumeration
     assert list(reduced_words("a", 2)) == ["", "a", "A", "aa", "AA"]
 
