@@ -44,6 +44,11 @@ class Presentation:
     relators: tuple[str, ...] = ()
 
     def __post_init__(self):
+        # both fields are hashed by the per-presentation caches
+        if not isinstance(self.generators, str):
+            raise TypeError(f"generators must be a str, not {type(self.generators).__name__}")
+        if not isinstance(self.relators, tuple):
+            raise TypeError(f"relators must be a tuple, not {type(self.relators).__name__}")
         if not self.generators:
             raise ValueError("presentation needs at least one generator")
         for g in self.generators:

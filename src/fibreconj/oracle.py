@@ -3,9 +3,10 @@
 A strategy never guesses: definite verdicts carry certificates that
 independent checkers validate, and anything past the strategy's reach
 comes back Unknown.  Exactness (the claim that Yes and No together
-cover all inputs) holds for the free strategy, for the abelian strategy
-when the presentation is certifiably abelian, and for the greedy
-rewriting strategy under a verified metric small cancellation condition.
+cover all inputs) holds for the abelian strategy when the presentation
+is certifiably abelian, and for the greedy rewriting strategy under a
+verified metric small cancellation condition, which the empty
+presentation of a free group passes vacuously.
 """
 
 from __future__ import annotations
@@ -29,12 +30,11 @@ from .words import (
     word_letters,
 )
 
-FREE = "free"
 ABELIAN = "abelian"
 DEHN = "dehn"
 SEARCH = "search"
 
-KINDS = (FREE, ABELIAN, DEHN, SEARCH)
+KINDS = (ABELIAN, DEHN, SEARCH)
 
 _POWER_SCAN_DEFAULT = 8
 _ORDER_SCAN_DEFAULT = 16
@@ -58,7 +58,7 @@ def make_strategy(pres: Presentation, kind: str, budget: int = 1_000_000) -> Str
     """Validate the strategy/presentation pairing and fix the exactness flag."""
     if budget <= 0:
         raise ValueError("budget must be positive")
-    exact = certified_abelian(pres) if kind == ABELIAN else kind in (FREE, DEHN)
+    exact = certified_abelian(pres) if kind == ABELIAN else kind == DEHN
     _check_pairing(pres, kind, exact)
     return StrategySpec(kind, budget, exact)
 
@@ -67,8 +67,6 @@ def _check_pairing(pres: Presentation, kind: str, exact: bool) -> None:
     """The one rule for whether a strategy fits a presentation; ValueError if not."""
     if kind not in KINDS:
         raise ValueError(f"unknown strategy {kind!r}")
-    if kind == FREE and pres.relators:
-        raise ValueError("free strategy requires an empty relator set")
     if kind == DEHN and not check_c16(pres):
         raise ValueError("greedy rewriting requires the C'(1/6) condition")
     if kind == ABELIAN and exact and not certified_abelian(pres):
@@ -77,8 +75,6 @@ def _check_pairing(pres: Presentation, kind: str, exact: bool) -> None:
 
 def auto_strategy(pres: Presentation, budget: int = 1_000_000) -> StrategySpec:
     """Pick the strongest strategy the presentation certifiably supports."""
-    if not pres.relators:
-        return make_strategy(pres, FREE, budget)
     if certified_abelian(pres):
         return make_strategy(pres, ABELIAN, budget)
     if check_c16(pres):
@@ -314,10 +310,6 @@ def wp_decide(w: str, pres: Presentation, strat: StrategySpec) -> Decision:
     validate_word(w, pres.generators)
     w = free_reduce(w)
 
-    if strat.kind == FREE:
-        verdict = Verdict.YES if w == "" else Verdict.NO
-        return Decision(verdict, ("free", w))
-
     if strat.kind == ABELIAN:
         residues = _model(pres).residues(w)
         if any(residues):
@@ -341,17 +333,15 @@ def wp_decide(w: str, pres: Presentation, strat: StrategySpec) -> Decision:
 def normal_form(w: str, pres: Presentation, strat: StrategySpec) -> str:
     """A reduced word equal to w in Q, read off the exact strategy's theory.
 
-    The free reduction under free, the terminal word of the greedy
-    rewrite under dehn, and the abelian normal form under an exact
-    abelian strategy.  Each is empty iff w = 1 in Q; the free and
-    abelian ones are also the same for all words equal in Q.
+    The terminal word of the greedy rewrite under dehn, and the abelian
+    normal form under an exact abelian strategy.  Each is empty iff
+    w = 1 in Q; the abelian one, and the dehn one without relators (the
+    free reduction), are also the same for all words equal in Q.
     """
     _check_pairing(pres, strat.kind, strat.exactness_claim)
     validate_word(w, pres.generators)
     if not strat.exactness_claim:
         raise ValueError("a normal form needs an exact strategy")
-    if strat.kind == FREE:
-        return free_reduce(w)
     if strat.kind == DEHN:
         return dehn_greedy(w, pres)
     return _model(pres).normal_form(w)
@@ -377,9 +367,12 @@ def power_decide(w: str, u: str, pres: Presentation, strat: StrategySpec) -> Pow
     u = free_reduce(u)
 
     if w == "":
-        return PowerDecision(Verdict.YES, 0, ("power", 0, wp_decide("", pres, strat)))
+        dec = wp_decide("", pres, strat)
+        if not dec.yes:  # a non-exact strategy; the empty relator product proves 1 = 1
+            dec = Decision(Verdict.YES, ("product", VanKampenProduct(())))
+        return PowerDecision(Verdict.YES, 0, ("power", 0, dec))
 
-    if strat.kind == FREE:
+    if not pres.relators:  # a free group: compare primitive roots
         if u == "":
             return PowerDecision(Verdict.NO, None, ("roots", None))
         rw = primitive_root(w)
@@ -487,10 +480,6 @@ def check_decision(dec: Decision, w: str, pres: Presentation) -> bool:
     match dec:
         case Decision(Verdict.UNKNOWN):
             return True
-        case Decision(Verdict.YES, ("free", "")):
-            return w == ""
-        case Decision(Verdict.NO, ("free", str(reduced))) if not pres.relators:
-            return reduced == w != ""
         case Decision(Verdict.YES | Verdict.NO, ("abelian", residues)) if (
             dec.no or certified_abelian(pres)  # zero residues prove w = 1 only then
         ):
@@ -538,7 +527,7 @@ def check_power_decision(pd: PowerDecision, w: str, u: str, pres: Presentation) 
         case PowerDecision(Verdict.YES, int(p), ("power", q, ("roots", tuple()))) if (
             q == p and not pres.relators
         ):
-            # free strategy: exponent arithmetic reduces to plain cancellation
+            # free group: exponent arithmetic reduces to plain cancellation
             return mul(w, inverse(power(u, p))) == ""
         case PowerDecision(Verdict.NO, None, ("roots", None)) if not pres.relators:
             return u == "" and w != ""

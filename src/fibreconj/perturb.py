@@ -31,6 +31,10 @@ class PerturbConfig:
 
     k_max: int = 8
 
+    def __post_init__(self):
+        if self.k_max < 0:
+            raise ValueError("k_max must be non-negative")
+
 
 @dataclass(frozen=True)
 class PerturbResult:

@@ -63,6 +63,14 @@ def test_presentation_validation():
     assert Presentation("ab", ("abAB",)).max_relator_length == 4
 
 
+def test_presentation_field_types():
+    # the per-presentation caches hash both fields, so a list would fail only later
+    with pytest.raises(TypeError, match="relators"):
+        Presentation("ab", ["abAB"])
+    with pytest.raises(TypeError, match="generators"):
+        Presentation(["a", "b"], ("abAB",))
+
+
 def test_evaluate_product():
     prod = VanKampenProduct((("", "abAB"),))
     assert evaluate_vk_product(prod, Z2) == "abAB"

@@ -166,8 +166,8 @@ def test_gens_listing(capsys):
 
 
 def test_gens_rejects_unfit_oracle(capsys):
-    code, out, err = run(capsys, ["gens", "-p", Z, "--oracle", "free"])
-    assert code == 3 and out == [] and "free strategy" in err
+    code, out, err = run(capsys, ["gens", "-p", str(PRES / "z2.txt"), "--oracle", "dehn"])
+    assert code == 3 and out == [] and "C'(1/6)" in err
 
 
 def test_verify_area(capsys):
@@ -215,6 +215,7 @@ def test_search_unknown_exit(capsys):
         ["wp", "-p", str(PRES / "z2.txt"), "-w", "a", "--oracle", "dehn"],
         ["wp", "-p", str(PRES / "z.txt"), "-w", "a", "--bogus"],
         [],
+        ["perturb", "-p", str(PRES / "z.txt"), "-w", "a", "--kmax", "-3"],
     ],
 )
 def test_usage_errors_exit_3(capsys, argv):

@@ -2,12 +2,14 @@
 
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fibreconj.abelian import abelian_model
 from fibreconj.area import Presentation, VanKampenProduct
+from fibreconj.cli import parse_presentation_file
 from fibreconj.decisions import Decision, PowerDecision, Verdict
 from fibreconj.oracle import (
     _marked_rotations,
@@ -21,12 +23,22 @@ from fibreconj.oracle import (
     dehn_greedy,
     dehn_greedy_trace,
     make_strategy,
+    normal_form,
     power_decide,
     q_equal,
     replay_dehn_trace,
     wp_decide,
 )
-from fibreconj.words import free_reduce, inverse, mul, mul2, power, random_reduced_word, rotate
+from fibreconj.words import (
+    free_reduce,
+    inverse,
+    mul,
+    mul2,
+    power,
+    random_reduced_word,
+    reduced_words,
+    rotate,
+)
 
 Z = Presentation("ab", ("b",))
 Z2 = Presentation("ab", ("abAB",))
@@ -58,7 +70,11 @@ def test_check_c16():
 
 
 def test_strategy_selection():
-    assert auto_strategy(FREE).kind == "free"
+    # a free group is the empty-presentation case of Dehn's algorithm
+    s = auto_strategy(FREE)
+    assert s.kind == "dehn" and s.exactness_claim
+    s = auto_strategy(Presentation("a", ()))
+    assert s.kind == "abelian" and s.exactness_claim
     assert auto_strategy(Z).kind == "abelian"
     assert auto_strategy(Z2).kind == "abelian"
     assert auto_strategy(G2).kind == "dehn"
@@ -69,14 +85,14 @@ def test_strategy_selection():
 
 def test_strategy_pairing_errors():
     with pytest.raises(ValueError):
-        make_strategy(Z2, "free")
+        make_strategy(FREE, "free")
     with pytest.raises(ValueError):
         make_strategy(Z2, "dehn")
     with pytest.raises(ValueError):
         make_strategy(Z2, "nonsense")
     with pytest.raises(ValueError):
         make_strategy(Z2, "abelian", budget=0)
-    assert make_strategy(FREE, "free").exactness_claim
+    assert make_strategy(FREE, "dehn").exactness_claim
     assert make_strategy(G2, "abelian").exactness_claim is False
     # a spec is checked against the presentation of every query it serves
     exact_abelian = make_strategy(Z2, "abelian")
@@ -85,7 +101,7 @@ def test_strategy_pairing_errors():
     with pytest.raises(ValueError):
         power_decide("abAB", "a", G2, exact_abelian)
     with pytest.raises(ValueError):
-        wp_decide("ab", Z2, make_strategy(FREE, "free"))
+        wp_decide("ab", Z2, make_strategy(FREE, "dehn"))
     with pytest.raises(ValueError):
         wp_decide("ab", Z2, make_strategy(G2, "dehn"))
     assert wp_decide("abAB", G2, make_strategy(G2, "abelian")).unknown
@@ -294,6 +310,42 @@ def test_power_free_strategy():
         assert check_power_decision(pd, w, u, FREE)
 
 
+FREE_TXT = parse_presentation_file(
+    str(Path(__file__).resolve().parents[1] / "presentations" / "free.txt")
+)
+
+
+def test_free_group_is_dehn_on_the_empty_presentation():
+    s = auto_strategy(FREE_TXT)
+    assert s.kind == "dehn" and s.exactness_claim
+    for r in reduced_words("ab", 6):
+        k = len(r) // 2
+        for w in (r, r[:k] + "bB" + r[k:], r + "Aa", mul(r, "ab") + "BA"):
+            reduced = free_reduce(w)
+            dec = wp_decide(w, FREE_TXT, s)
+            assert dec.yes == (reduced == "") and dec.no == (reduced != ""), w
+            assert normal_form(w, FREE_TXT, s) == reduced, w
+            assert check_decision(dec, w, FREE_TXT), w
+
+
+def test_free_powers_past_the_scan_bound():
+    # the exponent scan stops at |p| <= 8; primitive roots have no such bound
+    s = make_strategy(FREE_TXT, "dehn")
+    pd = power_decide("a" * 20, "a", FREE_TXT, s)
+    assert pd.yes and pd.p == 20
+    assert check_power_decision(pd, "a" * 20, "a", FREE_TXT)
+
+
+@pytest.mark.parametrize("pres", [G2, Presentation("ab", ("aba",)), FREE], ids=["G2", "aba", "free"])
+def test_trivial_power_under_a_non_exact_strategy(pres):
+    s = make_strategy(pres, "abelian")
+    assert not s.exactness_claim
+    for w in ("", "aA"):
+        pd = power_decide(w, "a", pres, s)
+        assert pd.yes and pd.p == 0
+        assert check_power_decision(pd, w, "a", pres)
+
+
 def test_power_abelian_strategy():
     s = auto_strategy(Z)
     pd = power_decide("aaa", "a", Z, s)
@@ -425,7 +477,7 @@ def test_forged_well_formed_certificates_are_rejected():
     assert not check_power_decision(forged, "a", "a", G2)
     forged = PowerDecision(Verdict.YES, 1, ("power", 1, wp_decide("bA", G2, s)))
     assert not check_power_decision(forged, "b", "a", G2)
-    # a free-group No says nothing once there are relators
+    # "free" is no certificate tag, with relators or without
     assert not check_decision(Decision(Verdict.NO, ("free", "abABcdCD")), "abABcdCD", G2)
     # a Dehn No must end in a word that no rewrite shortens: a truncated
     # trace of a relator product does not
@@ -454,7 +506,7 @@ def _real_certificates():
     """
     search = make_strategy(Z2, "search", 100_000)
     words = [
-        (wp_decide("abA", FREE, auto_strategy(FREE)), "abA", FREE),  # free
+        (wp_decide("abA", FREE, auto_strategy(FREE)), "abA", FREE),  # dehn without relators
         (wp_decide("aA", FREE, auto_strategy(FREE)), "aA", FREE),
         (wp_decide("ab", Z2, auto_strategy(Z2)), "ab", Z2),  # abelian
         (wp_decide("abAB", Z2, auto_strategy(Z2)), "abAB", Z2),
@@ -489,7 +541,7 @@ def _entries(node):
             yield from _entries(item)
 
 
-TAGS = ("free", "abelian", "dehn", "product", "power", "roots", "lattice",
+TAGS = ("abelian", "dehn", "product", "power", "roots", "lattice",
         "commutator", "trivial-u", "order")
 # fillers, plus every real decision, checked word and certificate entry
 POOL = [None, "x", 0, ()] + [
