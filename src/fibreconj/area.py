@@ -103,6 +103,12 @@ def evaluate_vk_product(prod: VanKampenProduct, pres: Presentation) -> str:
 
 @dataclass(frozen=True)
 class AreaResult:
+    """Outcome of area_bounded.
+
+    states counts the search states generated over all contours; a
+    state that a later contour generates again counts again.
+    """
+
     value: int | None
     witness: VanKampenProduct | None
     bound_exhausted: bool
@@ -226,7 +232,9 @@ def _bounds(v: str, tables: _Tables, gens: str):
     function of s shifted by p (free reduction only removes
     backtracking), so one move changes sum |winding| by at most T; the
     child's sum is updated from v's table over the cells of s.  Each
-    bound drops by at most 1 per move, so it is consistent.
+    bound drops by at most 1 per move, so it is consistent, and it
+    depends only on the child's reduced word, so area_bounded may read
+    it before building the child.
     """
     if tables.step:
         step = tables.step
@@ -311,14 +319,27 @@ def area_bounded(
     f = g + h (g moves made, h a consistent lower bound on the moves
     left, see _bounds and _core_bound), larger g first on ties, so the
     first state popped that one move finishes (h = 1) fixes the area m.
+    The search runs in at most two contours.  A child whose f would pass
+    the contour is left out before its word is built.  The first
+    contour is the root bound, so when that is the area (always on
+    Z^2) no child past the optimal depth is built.  If its heap empties
+    without a finisher, the search restarts from c under the contour
+    maxM (10,000 when None).  Any contour at or above m pops the states
+    of f <= m in the same order, and none past them, so the contours
+    change neither the area nor the witness.  One restart, not a
+    contour raised step by step, keeps a search that never finishes (w
+    nontrivial) at the cost of one capped search plus the first
+    contour: a low contour builds few children per expansion, so
+    stepping would spend far more expansions on the same state budget.
     Every conjugator of the witness is right-multiplied by t; the
     witness is checked to evaluate back to w and to meet the noise bound
     m*L + |w|, and states with f = m are popped until one does.
-    maxM = None searches without an area cap.  The state budget is
-    checked after every expansion and turns an oversized search into a
-    budget_exhausted result; without it a search for a nontrivial word
-    with zero exponent sum never ends, so only a caller that knows w is
-    trivial in Q should pass None.
+    maxM = None searches without an area cap.  The state budget counts
+    the states of every contour together; it is checked before every
+    expansion and turns an oversized search into a budget_exhausted
+    result.  Without it a search for a nontrivial word with zero
+    exponent sum never ends, so only a caller that knows w is trivial
+    in Q should pass None.
     """
     if maxM is not None and maxM < 0:
         raise ValueError("maxM must be nonnegative")
@@ -346,61 +367,69 @@ def area_bounded(
     if h0 > cap:
         return AreaResult(None, None, True)
 
-    dist = {core: 0}
-    parents: dict[str, list[tuple[str, int, str]]] = {core: []}
-    heap = [(h0, 0, 0, core)]
-    seq = 1
-    m = None
-    tried = 0
-    best_noise = None
-    while heap:
-        f, neg_g, _, v = heappop(heap)
-        g = -neg_g
-        if dist[v] != g:
-            continue  # superseded by a shorter route
-        if m is not None and f > m:
-            break
-        if f == g + 1:
-            # one move finishes v, and no open state has smaller f
-            m = cap = f
-            if tried < _FINISHER_CAP:
-                tried += 1
-                prod, noise = _assemble_witness(w, t, m, v, parents, tables, pres)
-                if prod is not None:
-                    return AreaResult(m, prod, False, states=len(dist))
-                best_noise = noise if best_noise is None else min(best_noise, noise)
-            continue
-        g1 = g + 1
-        bound = _bounds(v, tables, gens)[1]
-        for k in range(len(v) + 1):
-            head = v[:k]
-            tail = v[k:]
-            for s in strings:
-                child = mul2(mul2(head, s), tail)
-                d = dist.get(child)
-                if d is not None and d <= g1:
-                    if d == g1:
-                        plist = parents[child]
-                        if len(plist) < _PARENT_CAP:
-                            plist.append((v, k, s))
-                    continue
-                h = bound(k, s)
-                if h < 2:
-                    h = _core_bound(child, forms)
-                if g1 + h > cap:
-                    continue
-                dist[child] = g1
-                parents[child] = [(v, k, s)]
-                heappush(heap, (g1 + h, -g1, seq, child))
-                seq += 1
-        if state_budget is not None and len(dist) > state_budget:
-            return AreaResult(None, None, False, states=len(dist), budget_exhausted=True)
-    if m is None:
-        return AreaResult(None, None, True, states=len(dist))
-    bound = m * pres.max_relator_length + len(w)
-    raise AssertionError(
-        f"no noise-compliant witness found: best noise {best_noise}, bound {bound}"
-    )
+    states = 0  # states generated by the contours searched so far
+    for contour in sorted({h0, cap}):  # the root bound, then the cap
+        dist = {core: 0}
+        parents: dict[str, list[tuple[str, int, str]]] = {core: []}
+        heap = [(h0, 0, 0, core)]
+        seq = 1
+        m = None
+        tried = 0
+        best_noise = None
+        while heap:
+            if state_budget is not None and states + len(dist) > state_budget:
+                return AreaResult(
+                    None, None, False, states=states + len(dist), budget_exhausted=True
+                )
+            f, neg_g, _, v = heappop(heap)
+            g = -neg_g
+            if dist[v] != g:
+                continue  # superseded by a shorter route
+            if m is not None and f > m:
+                break
+            if f == g + 1:
+                # one move finishes v, and no open state has smaller f
+                m = f
+                if tried < _FINISHER_CAP:
+                    tried += 1
+                    prod, noise = _assemble_witness(w, t, m, v, parents, tables, pres)
+                    if prod is not None:
+                        return AreaResult(m, prod, False, states=states + len(dist))
+                    best_noise = noise if best_noise is None else min(best_noise, noise)
+                continue
+            g1 = g + 1
+            bound = _bounds(v, tables, gens)[1]
+            for k in range(len(v) + 1):
+                head = v[:k]
+                tail = v[k:]
+                for s in strings:
+                    h = bound(k, s)
+                    # a child past the contour is left out before it is built
+                    if g1 + h > contour:
+                        continue
+                    child = mul2(mul2(head, s), tail)
+                    d = dist.get(child)
+                    if d is not None and d <= g1:
+                        if d == g1:
+                            plist = parents[child]
+                            if len(plist) < _PARENT_CAP:
+                                plist.append((v, k, s))
+                        continue
+                    if h < 2:
+                        h = _core_bound(child, forms)
+                    if g1 + h > contour:
+                        continue
+                    dist[child] = g1
+                    parents[child] = [(v, k, s)]
+                    heappush(heap, (g1 + h, -g1, seq, child))
+                    seq += 1
+        if m is not None:
+            bound = m * pres.max_relator_length + len(w)
+            raise AssertionError(
+                f"no noise-compliant witness found: best noise {best_noise}, bound {bound}"
+            )
+        states += len(dist)
+    return AreaResult(None, None, True, states=states)
 
 
 def _paths_to(node: str, parents, budget: list[int]):

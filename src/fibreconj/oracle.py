@@ -275,11 +275,15 @@ def dehn_greedy(w: str, pres: Presentation) -> str:
     return dehn_greedy_trace(w, pres)[0]
 
 
+@lru_cache(maxsize=64)
+def _rotation_by_mark(pres: Presentation) -> dict[tuple[int, int, int], str]:
+    """The marked rotations of pres, keyed by their marks."""
+    return {mark: s for s, mark in _marked_rotations(pres)}
+
+
 def replay_dehn_trace(w: str, steps, pres: Presentation) -> str:
     """Re-apply a recorded greedy trace, validating every step."""
-    marks = dict()
-    for s, mark in _marked_rotations(pres):
-        marks[mark] = s
+    marks = _rotation_by_mark(pres)
     w = free_reduce(w)
     for pos, mark, j in steps:
         if not (type(pos) is int and 0 <= pos):  # w[-1:] and w[True:] would slice too

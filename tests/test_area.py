@@ -137,13 +137,42 @@ def test_area_default_budget():
 
 
 def test_area_search_states():
-    # the winding bound is exact on Z^2, so the search stays on the
-    # optimal paths; a breadth-first search generates 37,201 states here
-    assert area_bounded("aabbAABB", None, Z2).states <= 1_000
+    # the winding bound is exact on Z^2, so the first contour finds the
+    # area and builds only children on optimal paths; a breadth-first
+    # search generates 37,201 states here
+    assert area_bounded("aabbAABB", None, Z2).states == 14
     # a word with nonzero exponent sum cannot be a product of relators
     # that all have zero exponent sum
     res = area_bounded("aab", None, Z2)
     assert res.value is None and res.bound_exhausted and res.states == 0
+
+
+def test_area_contour_restart(monkeypatch):
+    # over Z x Z/3 the root bound of these words is 2, below their area,
+    # so the first contour runs out and the search restarts once, under
+    # maxM, however far the area is above the root bound; states count
+    # both contours
+    tables = area._tables(ZA3)
+    expanded = []
+    bounds = area._bounds
+
+    def spy(v, *args):
+        expanded.append(v)
+        return bounds(v, *args)
+
+    monkeypatch.setattr(area, "_bounds", spy)
+    for w, m in (("AABBAbb", 3), ("BaabbAAB", 4)):
+        h0 = max(area._bounds(w, tables, "ab")[0], area._core_bound(w, tables.forms))
+        assert h0 == 2
+        expanded.clear()
+        res = area_bounded(w, None, ZA3)
+        # one bound of the root, then one expansion of it per contour
+        assert expanded.count(w) == 3
+        assert res.value == brute_area(w, ZA3, max_moves=m) == m, w
+        _check_witness(w, res, ZA3)
+        below = area_bounded(w, m - 1, ZA3)
+        assert below.value is None and below.bound_exhausted
+        assert 0 < below.states < res.states
 
 
 def _check_witness(w, res, pres):
