@@ -321,25 +321,39 @@ def area_bounded(
     first state popped that one move finishes (h = 1) fixes the area m.
     The search runs in at most two contours.  A child whose f would pass
     the contour is left out before its word is built.  The first
-    contour is the root bound, so when that is the area (always on
-    Z^2) no child past the optimal depth is built.  If its heap empties
-    without a finisher, the search restarts from c under the contour
-    maxM (10,000 when None).  Any contour at or above m pops the states
-    of f <= m in the same order, and none past them, so the contours
-    change neither the area nor the witness.  One restart, not a
-    contour raised step by step, keeps a search that never finishes (w
-    nontrivial) at the cost of one capped search plus the first
-    contour: a low contour builds few children per expansion, so
-    stepping would spend far more expansions on the same state budget.
+    contour is the root bound h0, so when that is the area (always on
+    Z^2) no child past the optimal depth is built.  On it every state
+    has f = h0, and a state's depth h0 - h is fixed by its word, so the
+    search is a depth-first walk, and it builds children lazily (partial
+    expansion, Yoshizumi-Miura-Ishida 2000): a popped state builds only
+    its next child under the contour, in (k, s) order, and goes back on
+    the heap with the index of the candidate after it.  The child has
+    larger g, so it pops first.  States pop in the order whole
+    expansions would pop them, and each candidate is scanned once, so
+    the lazy walk builds a subset of their states, the same ones if no
+    finisher is found.  If its heap empties without a finisher, the
+    search restarts from c under the contour maxM (10,000 when None),
+    expanding each popped state whole: there f varies, and the later
+    children of a lazy state would pop out of A* order.  Any contour at
+    or above m pops the states of f <= m in the same order, and none
+    past them, so the contours do not change the area.  Nor do they
+    change the first path that the witness tries: only the routes to a
+    state that an unfinished scan has not reached yet are missing when
+    a finisher pops.  One restart, not a contour raised step by step,
+    keeps a search that never finishes (w nontrivial) at the cost of one
+    capped search plus the first contour: a low contour builds few
+    children per expansion, so stepping would spend far more expansions
+    on the same state budget.
     Every conjugator of the witness is right-multiplied by t; the
     witness is checked to evaluate back to w and to meet the noise bound
     m*L + |w|, and states with f = m are popped until one does.
     maxM = None searches without an area cap.  The state budget counts
     the states of every contour together; it is checked before every
-    expansion and turns an oversized search into a budget_exhausted
-    result.  Without it a search for a nontrivial word with zero
-    exponent sum never ends, so only a caller that knows w is trivial
-    in Q should pass None.
+    pop and turns an oversized search into a budget_exhausted result,
+    at most one child past the budget on the first contour and one
+    expansion's children under the restart.  Without it a search for a
+    nontrivial word with zero exponent sum never ends, so only a caller
+    that knows w is trivial in Q should pass None.
     """
     if maxM is not None and maxM < 0:
         raise ValueError("maxM must be nonnegative")
@@ -367,11 +381,16 @@ def area_bounded(
     if h0 > cap:
         return AreaResult(None, None, True)
 
+    n = len(strings)
     states = 0  # states generated by the contours searched so far
     for contour in sorted({h0, cap}):  # the root bound, then the cap
+        # on the first contour every state has f = h0, and a popped
+        # state builds one child, then waits for its next candidate
+        lazy = contour == h0
         dist = {core: 0}
         parents: dict[str, list[tuple[str, int, str]]] = {core: []}
-        heap = [(h0, 0, 0, core)]
+        # (f, -g, seq, state, index k * n + j of its next candidate (k, strings[j]))
+        heap = [(h0, 0, 0, core, 0)]
         seq = 1
         m = None
         tried = 0
@@ -381,7 +400,7 @@ def area_bounded(
                 return AreaResult(
                     None, None, False, states=states + len(dist), budget_exhausted=True
                 )
-            f, neg_g, _, v = heappop(heap)
+            f, neg_g, order, v, start = heappop(heap)
             g = -neg_g
             if dist[v] != g:
                 continue  # superseded by a shorter route
@@ -399,10 +418,12 @@ def area_bounded(
                 continue
             g1 = g + 1
             bound = _bounds(v, tables, gens)[1]
-            for k in range(len(v) + 1):
+            k0, j0 = divmod(start, n)
+            row = strings[j0:]
+            for k in range(k0, len(v) + 1):
                 head = v[:k]
                 tail = v[k:]
-                for s in strings:
+                for s in row:
                     h = bound(k, s)
                     # a child past the contour is left out before it is built
                     if g1 + h > contour:
@@ -421,8 +442,16 @@ def area_bounded(
                         continue
                     dist[child] = g1
                     parents[child] = [(v, k, s)]
-                    heappush(heap, (g1 + h, -g1, seq, child))
+                    heappush(heap, (g1 + h, -g1, seq, child, 0))
                     seq += 1
+                    if lazy:
+                        # the child has larger g, so it pops first
+                        heappush(heap, (f, neg_g, order, v, k * n + strings.index(s) + 1))
+                        break
+                else:
+                    row = strings
+                    continue
+                break
         if m is not None:
             bound = m * pres.max_relator_length + len(w)
             raise AssertionError(

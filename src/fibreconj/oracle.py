@@ -515,7 +515,8 @@ def check_power_decision(pd: PowerDecision, w: str, u: str, pres: Presentation) 
 
     As in check_decision, each case matches one whole certificate shape
     together with the verdict it may back; any other decision is rejected,
-    and so is every decision about words outside the generators.
+    and so is every decision about words outside the generators.  An
+    exponent must be an int proper: True == 1, but a bool is no exponent.
     """
     if not _spelled_in(pres, w, u):
         return False
@@ -526,10 +527,10 @@ def check_power_decision(pd: PowerDecision, w: str, u: str, pres: Presentation) 
             return True
         case PowerDecision(
             Verdict.YES, int(p), ("power", q, Decision(Verdict.YES) as inner)
-        ) if q == p:
+        ) if q == p and type(p) is type(q) is int:
             return check_decision(inner, mul(w, inverse(power(u, p))), pres)
         case PowerDecision(Verdict.YES, int(p), ("power", q, ("roots", tuple()))) if (
-            q == p and not pres.relators
+            q == p and type(p) is type(q) is int and not pres.relators
         ):
             # free group: exponent arithmetic reduces to plain cancellation
             return mul(w, inverse(power(u, p))) == ""
@@ -555,13 +556,13 @@ def check_power_decision(pd: PowerDecision, w: str, u: str, pres: Presentation) 
             return check_decision(ut, u, pres) and check_decision(dw, w, pres)
         case PowerDecision(
             Verdict.NO, None, ("order", int(k), Decision(Verdict.YES) as dk, tuple(scanned))
-        ) if k >= 1:
+        ) if type(k) is int and k >= 1:
             # u^k = 1, so refuting one exponent per residue class mod k refutes them all
             refuted = set()
             for entry in scanned:
                 match entry:
-                    case (int(p), Decision(Verdict.NO) as dec) if check_decision(
-                        dec, mul(w, inverse(power(u, p))), pres
+                    case (int(p), Decision(Verdict.NO) as dec) if type(p) is int and (
+                        check_decision(dec, mul(w, inverse(power(u, p))), pres)
                     ):
                         refuted.add(p % k)
                     case _:

@@ -216,7 +216,8 @@ def replay_trace(result: ConjugacyResult, U, V, setup: SubdirectSetup, strat: St
     Matches the whole result: a Yes whose conjugator takes U to V inside
     P and, on the main branch, whose recorded winning query re-runs to
     the same exponent and rebuilds the same conjugator, all of its words
-    over the generators.  Returns False on any other result.
+    over the generators and its winner a pair of ints, not bools.
+    Returns False on any other result.
     """
     U = validate_pair(U, setup.pres.generators)
     V = validate_pair(V, setup.pres.generators)
@@ -240,7 +241,7 @@ def replay_trace(result: ConjugacyResult, U, V, setup: SubdirectSetup, strat: St
                 queries=tuple(queries),
                 winner=(int(j), int(p)),
             ) as trace,
-        ) if letters.issuperset(g1 + g2 + x2 + w + z1 + z2):
+        ) if type(j) is type(p) is int and letters.issuperset(g1 + g2 + x2 + w + z1 + z2):
             tgt = mul(power(z2, j), inverse(w))
             return (
                 pair_conjugate(U, gamma) == V

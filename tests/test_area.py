@@ -1,6 +1,7 @@
 """Area search, witnesses, and the two Dehn-type functions."""
 
 import random
+from heapq import heappop, heappush
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,11 +19,13 @@ from fibreconj.brute import brute_area
 from fibreconj.decisions import OracleUnknown
 from fibreconj.oracle import auto_strategy, make_strategy, power_decide, wp_decide
 from fibreconj.words import (
+    cyclic_reduce,
     exponent_vector,
     free_reduce,
     inverse,
     is_reduced,
     mul,
+    mul2,
     random_reduced_word,
     reduced_words,
     rotate,
@@ -102,14 +105,16 @@ def test_area_bound_exhausted():
 
 
 def test_area_budget():
-    res = area_bounded("aabbAABB", None, Z2, state_budget=5)
-    assert res.value is None and res.budget_exhausted
+    # aabbAABB needs 4 states, so a budget of 3 runs out
+    res = area_bounded("aabbAABB", None, Z2, state_budget=3)
+    assert res.value is None and res.budget_exhausted and res.states == 4
 
 
 def test_area_budget_per_expansion(monkeypatch):
     # acAC has zero exponent sum but is nontrivial in the genus-2 group,
-    # so only the budget stops the search; it may overshoot by the
-    # children of one expansion, (|v| + 1) per insertable string
+    # so only the budget stops the search; it may overshoot by one child
+    # on the first contour and by the children of one expansion, (|v| + 1)
+    # per insertable string, under the restart
     expanded = []
     bounds = area._bounds
 
@@ -138,9 +143,10 @@ def test_area_default_budget():
 
 def test_area_search_states():
     # the winding bound is exact on Z^2, so the first contour finds the
-    # area and builds only children on optimal paths; a breadth-first
-    # search generates 37,201 states here
-    assert area_bounded("aabbAABB", None, Z2).states == 14
+    # area and builds one child per pop on an optimal path; expanding
+    # every child under the contour builds 14 states here, and a
+    # breadth-first search 37,201
+    assert area_bounded("aabbAABB", None, Z2).states == 4
     # a word with nonzero exponent sum cannot be a product of relators
     # that all have zero exponent sum
     res = area_bounded("aab", None, Z2)
@@ -166,13 +172,112 @@ def test_area_contour_restart(monkeypatch):
         assert h0 == 2
         expanded.clear()
         res = area_bounded(w, None, ZA3)
-        # one bound of the root, then one expansion of it per contour
+        # one bound of the root, then one pop of it per contour: on the
+        # first contour it has no child under the contour
         assert expanded.count(w) == 3
         assert res.value == brute_area(w, ZA3, max_moves=m) == m, w
         _check_witness(w, res, ZA3)
         below = area_bounded(w, m - 1, ZA3)
         assert below.value is None and below.bound_exhausted
         assert 0 < below.states < res.states
+
+
+def _eager_area(w, pres, state_budget=100_000):
+    """area_bounded(w, None, pres) with every child under the contour built at once.
+
+    The first contour expands a popped state whole, as the restart does,
+    so it builds every sibling on the path it walks.
+    """
+    w = free_reduce(w)
+    if w == "":
+        return area.AreaResult(0, VanKampenProduct(()), False)
+    tables = area._tables(pres)
+    strings, forms, gens = tables.strings, tables.forms, pres.generators
+    if not tables.step and any(exponent_vector(w, gens)):
+        return area.AreaResult(None, None, True)
+    core, t = cyclic_reduce(w)
+    h0 = max(area._bounds(core, tables, gens)[0], area._core_bound(core, forms))
+    states = 0
+    for contour in sorted({h0, 10_000}):
+        dist = {core: 0}
+        parents = {core: []}
+        heap = [(h0, 0, 0, core)]
+        seq = 1
+        m = None
+        tried = 0
+        while heap:
+            if state_budget is not None and states + len(dist) > state_budget:
+                return area.AreaResult(None, None, False, states + len(dist), True)
+            f, neg_g, _, v = heappop(heap)
+            g = -neg_g
+            if dist[v] != g:
+                continue
+            if m is not None and f > m:
+                break
+            if f == g + 1:
+                m = f
+                if tried < area._FINISHER_CAP:
+                    tried += 1
+                    prod, _ = area._assemble_witness(w, t, m, v, parents, tables, pres)
+                    if prod is not None:
+                        return area.AreaResult(m, prod, False, states + len(dist))
+                continue
+            g1 = g + 1
+            bound = area._bounds(v, tables, gens)[1]
+            for k in range(len(v) + 1):
+                for s in strings:
+                    h = bound(k, s)
+                    if g1 + h > contour:
+                        continue
+                    child = mul2(mul2(v[:k], s), v[k:])
+                    d = dist.get(child)
+                    if d is not None and d <= g1:
+                        if d == g1 and len(parents[child]) < area._PARENT_CAP:
+                            parents[child].append((v, k, s))
+                        continue
+                    if h < 2:
+                        h = area._core_bound(child, forms)
+                    if g1 + h > contour:
+                        continue
+                    dist[child] = g1
+                    parents[child] = [(v, k, s)]
+                    heappush(heap, (g1 + h, -g1, seq, child))
+                    seq += 1
+        assert m is None
+        states += len(dist)
+    return area.AreaResult(None, None, True, states=states)
+
+
+def _relator_products(pres, count, rng):
+    """count products of 1-2 conjugated relators, conjugators of length <= 2."""
+    inserts = list(pres.relators) + [inverse(r) for r in pres.relators]
+    out = []
+    for _ in range(count):
+        w = ""
+        for _ in range(rng.randint(1, 2)):
+            theta = random_reduced_word(rng, pres.generators, rng.randint(0, 2))
+            w = mul(w, inverse(theta), rng.choice(inserts), theta)
+        out.append(w)
+    return out
+
+
+def test_lazy_first_contour_matches_eager_expansion():
+    # building one child per pop on the first contour changes neither the
+    # area nor the witness, and never builds more states
+    cases = [(Z2, w) for w in reduced_words("ab", 10)
+             if w and exponent_vector(w, "ab") == (0, 0)]
+    rng = random.Random(17)
+    for pres in (G2, ZA3, Z):
+        cases += [(pres, w) for w in _relator_products(pres, 150, rng)]
+    assert len(cases) == 3050
+    fewer = 0
+    for pres, w in cases:
+        got, want = area_bounded(w, None, pres), _eager_area(w, pres)
+        assert got.value == want.value, (pres, w)
+        assert got.witness.factors == want.witness.factors, (pres, w)
+        assert got.states <= want.states, (pres, w)
+        fewer += got.states < want.states
+    assert fewer > 0
 
 
 def _check_witness(w, res, pres):

@@ -488,6 +488,25 @@ def test_forged_well_formed_certificates_are_rejected():
     assert not check_decision(Decision(Verdict.NO, ("dehn", (), "abAB")), "abAB", Z2)
 
 
+def test_bool_exponents_are_rejected():
+    # True == 1, so each forgery below certifies a true fact, but a bool is
+    # no exponent, as a bool is no step position in a Dehn trace
+    pd = power_decide("ab", "ab", Z2, auto_strategy(Z2))
+    inner = pd.certificate[2]
+    assert check_power_decision(PowerDecision(Verdict.YES, 1, ("power", 1, inner)), "ab", "ab", Z2)
+    for p, q in ((True, True), (1, True), (True, 1)):
+        forged = PowerDecision(Verdict.YES, p, ("power", q, inner))
+        assert check_power_decision(forged, "ab", "ab", Z2) is False, forged
+    free = PowerDecision(Verdict.YES, True, ("power", True, ("roots", ())))
+    assert check_power_decision(free, "a", "a", FREE) is False
+    # u = aaa = 1 over Z x Z/3, and b is not 1, so b is no power of u
+    s = auto_strategy(ZXZ3)
+    dk, db = wp_decide("aaa", ZXZ3, s), wp_decide("b", ZXZ3, s)
+    for k, p, ok in ((1, 0, True), (True, 0, False), (1, False, False)):
+        order = PowerDecision(Verdict.NO, None, ("order", k, dk, ((p, db),)))
+        assert check_power_decision(order, "b", "aaa", ZXZ3) is ok, order
+
+
 def test_certificates_for_words_outside_the_generators_are_rejected():
     # each certificate would fit x if x were a letter of the presentation
     zero = Decision(Verdict.YES, ("abelian", (0, 0)))

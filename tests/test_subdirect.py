@@ -194,6 +194,8 @@ def test_replay_rejects_malformed_results():
     assert res.trace.winner == (0, -1) and replay_trace(res, U, V, setup, strat) is True
     gamma = res.conjugator
     for bad in (
+        # False == 0, but a bool is no exponent
+        replace(res, trace=replace(res.trace, winner=(False, -1))),
         replace(res, trace=replace(res.trace, z1="x")),
         replace(res, conjugator=PairElement(gamma.first + "xX", gamma.second)),
     ):
