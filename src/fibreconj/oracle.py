@@ -23,6 +23,7 @@ from .words import (
     free_reduce,
     inverse,
     mul,
+    mul2,
     power,
     primitive_root,
     rotate,
@@ -352,10 +353,14 @@ def normal_form(w: str, pres: Presentation, strat: StrategySpec) -> str:
 
 
 def q_equal(u: str, v: str, pres: Presentation, strat: StrategySpec) -> Decision:
-    """Decide u = v in Q via triviality of u*v^-1."""
+    """Decide u = v in Q via triviality of u*v^-1.
+
+    u and v are validated here, so an error names the word at fault;
+    the product u*v^-1 is reduced once, by wp_decide.
+    """
     validate_word(u, pres.generators)
     validate_word(v, pres.generators)
-    return wp_decide(mul(u, inverse(v)), pres, strat)
+    return wp_decide(u + inverse(v), pres, strat)
 
 
 def power_decide(w: str, u: str, pres: Presentation, strat: StrategySpec) -> PowerDecision:
@@ -420,11 +425,13 @@ def _power_by_scan(w, u, pres, strat) -> PowerDecision:
     trivial u with a nontrivial w, or through a certified finite order
     of u; everything else inconclusive is Unknown.  A trivial-u No
     carries the Yes decision for u and the No decision for w, an order
-    No the Yes decision for u^k and the No decisions of the scan.
+    No the Yes decision for u^k and the No decisions of the scan.  w and
+    u come freely reduced from power_decide, so the commutator is built
+    with seam-only products.
     """
     exact = strat.exactness_claim
 
-    comm = wp_decide(mul(w, u, inverse(w), inverse(u)), pres, strat)
+    comm = wp_decide(mul2(mul2(mul2(w, u), inverse(w)), inverse(u)), pres, strat)
     if comm.no:
         return PowerDecision(Verdict.NO, None, ("commutator", comm))
 
@@ -471,12 +478,18 @@ def _spelled_in(pres: Presentation, *words: str) -> bool:
     return word_letters(pres.generators).issuperset("".join(words))
 
 
+def _int_vector(v: tuple) -> bool:
+    """True when every entry is an int proper: False == 0, but a bool is no exponent."""
+    return all(type(x) is int for x in v)
+
+
 def check_decision(dec: Decision, w: str, pres: Presentation) -> bool:
     """Independently validate a word-problem certificate against w.
 
     Each case matches one whole certificate shape together with the
     verdict it may back; any other decision is rejected, and so is
-    every decision about a word outside the generators.
+    every decision about a word outside the generators.  A residue
+    vector must hold ints proper, not bools.
     """
     if not _spelled_in(pres, w):
         return False
@@ -484,8 +497,9 @@ def check_decision(dec: Decision, w: str, pres: Presentation) -> bool:
     match dec:
         case Decision(Verdict.UNKNOWN):
             return True
-        case Decision(Verdict.YES | Verdict.NO, ("abelian", residues)) if (
-            dec.no or certified_abelian(pres)  # zero residues prove w = 1 only then
+        case Decision(Verdict.YES | Verdict.NO, ("abelian", tuple(residues))) if (
+            _int_vector(residues)
+            and (dec.no or certified_abelian(pres))  # zero residues prove w = 1 only then
         ):
             actual = _model(pres).residues(w)
             return residues == actual and dec.yes != any(actual)
@@ -516,7 +530,8 @@ def check_power_decision(pd: PowerDecision, w: str, u: str, pres: Presentation) 
     As in check_decision, each case matches one whole certificate shape
     together with the verdict it may back; any other decision is rejected,
     and so is every decision about words outside the generators.  An
-    exponent must be an int proper: True == 1, but a bool is no exponent.
+    exponent, and every entry of a coordinate vector, must be an int
+    proper: True == 1, but a bool is no exponent.
     """
     if not _spelled_in(pres, w, u):
         return False
@@ -543,7 +558,9 @@ def check_power_decision(pd: PowerDecision, w: str, u: str, pres: Presentation) 
             ru = primitive_root(u)
             fits = rw.exponent % ru.exponent == 0 and rw.root in (ru.root, inverse(ru.root))
             return roots == (rw.root, rw.exponent, ru.root, ru.exponent) and not fits
-        case PowerDecision(Verdict.NO, None, ("lattice", cw, cu)):
+        case PowerDecision(Verdict.NO, None, ("lattice", tuple(cw), tuple(cu))) if (
+            _int_vector(cw) and _int_vector(cu)
+        ):
             model = _model(pres)
             return (cw, cu) == (model.coords(w), model.coords(u)) and (
                 power_solutions(model, w, u) is None

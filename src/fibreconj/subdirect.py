@@ -21,6 +21,7 @@ from .words import (
     free_reduce,
     inverse,
     mul,
+    mul2,
     power,
     primitive_root,
     validate_word,
@@ -131,11 +132,20 @@ def _main_conjugator(trace: ConjugacyTrace, j: int, p: int) -> PairElement:
     return pair_mul(zeta, PairElement(trace.x2, trace.x2))
 
 
+def _conjugate2(g: str, u: str) -> str:
+    """g^-1 u g for reduced g and u, cancelling only at the seams."""
+    return mul2(mul2(inverse(g), u), g)
+
+
 def _finish(U, V, gamma, trace, setup, strat) -> ConjugacyResult:
-    """Exact verification of a candidate conjugator, then membership."""
-    if pair_conjugate(U, gamma) != V:
+    """Exact verification of a candidate conjugator, then membership.
+
+    U, V and gamma are freely reduced, so the check needs no reduction
+    past the seams.
+    """
+    if (_conjugate2(gamma[0], U[0]), _conjugate2(gamma[1], U[1])) != V:
         raise AssertionError("constructed conjugator fails exact verification")
-    member = p_membership(gamma, setup, strat)
+    member = q_equal(*gamma, setup.pres, strat)
     if member.no:
         raise AssertionError("constructed conjugator escaped P")
     if member.unknown:
@@ -150,11 +160,14 @@ def p_conjugacy(U, V, setup: SubdirectSetup, strat: StrategySpec) -> ConjugacyRe
     ValueError, an undecided membership returns Unknown).  Coordinatewise
     free conjugacy is necessary; past that, the conjugator is pinned
     down by a scan over the finitely many cosets of the second root.
+
+    U and V are validated and reduced once; the words built from them
+    are products of reduced words, cancelling only at the seams.
     """
     U = validate_pair(U, setup.pres.generators)
     V = validate_pair(V, setup.pres.generators)
     for name, pair in (("U", U), ("V", V)):
-        member = p_membership(pair, setup, strat)
+        member = q_equal(*pair, setup.pres, strat)
         if member.no:
             raise ValueError(f"{name} is not an element of P")
         if member.unknown:
@@ -185,7 +198,7 @@ def p_conjugacy(U, V, setup: SubdirectSetup, strat: StrategySpec) -> ConjugacyRe
     # u_i; such a pair lies in P iff z1^p * w = z2^q in Q, w = x1 * x2^-1.
     # Since u2 = z2^e2 equals u1 = z1^e1 in Q, shifting q by e2 shifts p
     # by e1, so scanning q = j in [0, e2) loses nothing.
-    w = mul(x1, inverse(x2))
+    w = mul2(x1, inverse(x2))
     r1 = primitive_root(u1)
     r2 = primitive_root(u2)
     z1, e1 = r1.root, r1.exponent
@@ -195,7 +208,7 @@ def p_conjugacy(U, V, setup: SubdirectSetup, strat: StrategySpec) -> ConjugacyRe
     winner = None
     saw_unknown = False
     for j in range(e2):
-        tgt = mul(power(z2, j), inverse(w))
+        tgt = mul2(power(z2, j), inverse(w))
         pd: PowerDecision = power_decide(tgt, z1, setup.pres, strat)
         queries.append(PowerQuery(j, tgt, pd.verdict, pd.p))
         if pd.yes:

@@ -115,7 +115,11 @@ def cyclic_reduce(w: str) -> tuple[str, str]:
     The core is cyclically reduced (its first and last letters are not
     inverse to each other) and the tail is the stripped suffix.
     """
-    w = free_reduce(w)
+    return _split_core(free_reduce(w))
+
+
+def _split_core(w: str) -> tuple[str, str]:
+    """cyclic_reduce of a word that is already freely reduced."""
     i, j = 0, len(w)
     while j - i >= 2 and w[i] == w[j - 1].swapcase():
         i += 1
@@ -143,23 +147,25 @@ def free_conjugator(w: str, v: str) -> str | None:
 
     Two words are conjugate iff their cyclic cores are rotations of each
     other; the conjugator is assembled from the stripped tails and the
-    rotation offset.
+    rotation offset.  Each input is freely reduced once; the pieces of x
+    and the check x^-1 w x = v are products of reduced words, so they
+    cancel only at the seams (mul2).
     """
     w = free_reduce(w)
     v = free_reduce(v)
-    cw, tw = cyclic_reduce(w)
-    cv, tv = cyclic_reduce(v)
+    cw, tw = _split_core(w)
+    cv, tv = _split_core(v)
     if len(cw) != len(cv):
         return None
     if not cw:
         return ""
     # find r with rotate(cw, r) == cv
-    idx = (cw + cw).find(cv)
-    if idx == -1 or (len(cv) and idx >= len(cw)):
+    r = (cw + cw).find(cv)
+    if r == -1:
         return None
-    r = idx
-    x = free_reduce(inverse(tw) + cw[:r] + tv)
-    assert conjugate(w, x) == v
+    x = mul2(mul2(inverse(tw), cw[:r]), tv)
+    if mul2(mul2(inverse(x), w), x) != v:
+        raise AssertionError("free conjugator fails exact verification")
     return x
 
 
@@ -179,18 +185,22 @@ def primitive_root(w: str) -> RootDecomposition:
     root raised to the exponent freely reduces to w exactly, and the
     centralizer of w in the free group is generated by the root.
     Raises ValueError on the empty word.
+
+    The input is freely reduced once.  The root t^-1 z t needs no
+    reduction: z is a piece of the reduced core and starts and ends with
+    the core's first and last letters, so its seams with t^-1 and t are
+    the seams of the reduced w.
     """
     w = free_reduce(w)
     if not w:
         raise ValueError("the trivial word has no primitive root")
-    core, tail = cyclic_reduce(w)
+    core, tail = _split_core(w)
     n = len(core)
     for d in range(1, n + 1):
         if n % d:
             continue
         if core[:d] * (n // d) == core:
-            root = free_reduce(inverse(tail) + core[:d] + tail)
-            return RootDecomposition(root, n // d)
+            return RootDecomposition(inverse(tail) + core[:d] + tail, n // d)
     raise AssertionError("unreachable: the core is a power of itself")
 
 

@@ -505,6 +505,17 @@ def test_bool_exponents_are_rejected():
     for k, p, ok in ((1, 0, True), (True, 0, False), (1, False, False)):
         order = PowerDecision(Verdict.NO, None, ("order", k, dk, ((p, db),)))
         assert check_power_decision(order, "b", "aaa", ZXZ3) is ok, order
+    # (False, False) == (0, 0): bools are no entries of residue or coordinate vectors
+    for cert, w, ok in (
+        (Decision(Verdict.YES, ("abelian", (0, 0))), "abAB", True),
+        (Decision(Verdict.YES, ("abelian", (False, False))), "abAB", False),
+        (Decision(Verdict.NO, ("abelian", (1, 0))), "a", True),
+        (Decision(Verdict.NO, ("abelian", (True, False))), "a", False),
+    ):
+        assert check_decision(cert, w, Z2) is ok, cert
+    for cw, cu, ok in (((1, 0), (0, 1), True), ((True, False), (False, True), False)):
+        lattice = PowerDecision(Verdict.NO, None, ("lattice", cw, cu))
+        assert check_power_decision(lattice, "a", "b", Z2) is ok, lattice
 
 
 def test_certificates_for_words_outside_the_generators_are_rejected():

@@ -6,8 +6,9 @@ from dataclasses import replace
 import pytest
 
 from fibreconj.area import Presentation
+from fibreconj.brute import random_instances
 from fibreconj.decisions import Verdict
-from fibreconj.oracle import auto_strategy
+from fibreconj.oracle import auto_strategy, power_decide, q_equal
 from fibreconj.subdirect import (
     ConjugacyResult,
     ConjugacyTrace,
@@ -26,6 +27,8 @@ from fibreconj.words import free_reduce, inverse
 Z = Presentation("ab", ("b",))
 Z2 = Presentation("ab", ("abAB",))
 Z3 = Presentation("a", ("aaa",))
+ZXZ3 = Presentation("ab", ("aaa", "abAB"))
+G2 = Presentation("abcd", ("abABcdCD",))
 
 
 def setup_for(pres):
@@ -200,3 +203,33 @@ def test_replay_rejects_malformed_results():
         replace(res, conjugator=PairElement(gamma.first + "xX", gamma.second)),
     ):
         assert replay_trace(bad, U, V, setup, strat) is False, bad
+
+
+def _pad(w, rng, letters):
+    """w with one to three cancelling pairs (aA, Bb, ...) inserted at seeded positions."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(w))
+        c = rng.choice(letters)
+        w = w[:i] + c + c.swapcase() + w[i:]
+    return w
+
+
+@pytest.mark.parametrize("pres", [Z2, ZXZ3, G2], ids=["z2", "zxz3", "genus2"])
+def test_unreduced_inputs_get_the_answers_of_reduced_ones(pres):
+    # the queries reduce their inputs once and then multiply reduced words
+    # at the seams only, so a word left unreduced would change the answer
+    setup, strat = setup_for(pres)
+    letters = pres.generators + pres.generators.upper()
+    rng = random.Random(18)
+    found = 0
+    for inst in random_instances(setup, 7, 40):
+        u, v = inst.pair_u, inst.pair_v
+        pu = PairElement(_pad(u[0], rng, letters), _pad(u[1], rng, letters))
+        pv = PairElement(_pad(v[0], rng, letters), _pad(v[1], rng, letters))
+        res = p_conjugacy(u, v, setup, strat)
+        found += res.yes
+        assert p_conjugacy(pu, pv, setup, strat) == res, (u, v)
+        assert p_membership(pu, setup, strat) == p_membership(u, setup, strat)
+        assert power_decide(pu[0], pv[0], pres, strat) == power_decide(u[0], v[0], pres, strat)
+        assert q_equal(pu[0], pv[1], pres, strat) == q_equal(u[0], v[1], pres, strat)
+    assert found >= 5

@@ -135,6 +135,15 @@ def test_primitive_root_invariant(w, e):
     assert di.root == inverse(dec.root) and di.exponent == dec.exponent
 
 
+@given(small_words, small_words.filter(bool), st.integers(1, 4))
+def test_primitive_root_of_a_conjugated_power_is_reduced(t, z, e):
+    w = free_reduce(inverse(t) + z * e + t)
+    dec = primitive_root(w)
+    assert is_reduced(dec.root)
+    assert dec.exponent % e == 0
+    assert power(dec.root, dec.exponent) == w
+
+
 def test_is_proper_power():
     assert is_proper_power("aa")
     assert is_proper_power("abab")
