@@ -1,11 +1,12 @@
 """Brute-force reference oracles.
 
 Area, conjugacy in P and primitive roots are recomputed from first
-principles with this module's own small helpers, sharing no search code
-with the main engines, so that agreement between the two routes carries
-evidential weight.  brute_power is the exception: it scans exponents
-itself but decides each candidate with the engine's q_equal, so it
-checks the power engine's exponent scan and not its word problem.
+principles with this module's own small helpers, down to free reduction
+and pair products, sharing no search or word arithmetic with the main
+engines, so that agreement between the two routes carries evidential
+weight.  brute_power is the exception: it scans exponents itself but
+decides each candidate with the engine's q_equal, so it checks the
+power engine's exponent scan and not its word problem.
 These functions are meant for desk-scale inputs and tests, not
 production use.
 """
@@ -18,7 +19,7 @@ from typing import Iterator, NamedTuple
 
 from .area import Presentation
 from .oracle import StrategySpec, q_equal
-from .subdirect import PairElement, SubdirectSetup, pair_inverse, pair_mul
+from .subdirect import PairElement, SubdirectSetup
 
 _FLIP = {c: c.swapcase() for c in "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"}
 
@@ -35,6 +36,10 @@ def _reduce(w: str) -> str:
 
 def _inv(w: str) -> str:
     return w[::-1].swapcase()
+
+
+def _pair_mul(*pairs) -> PairElement:
+    return PairElement(*(_reduce("".join(p[i] for p in pairs)) for i in (0, 1)))
 
 
 def _rotations(w: str) -> list[str]:
@@ -127,7 +132,7 @@ def _directions(setup: SubdirectSetup) -> list[PairElement]:
     dirs: list[PairElement] = []
     for g in setup.p_generators:
         dirs.append(PairElement(*g))
-        dirs.append(pair_inverse(g))
+        dirs.append(PairElement(*map(_inv, g)))
     return dirs
 
 
@@ -165,7 +170,7 @@ def brute_p_conjugacy(
         nxt: list[PairElement] = []
         for g in frontier:
             for d in dirs:
-                h = pair_mul(g, d)
+                h = _pair_mul(g, d)
                 if h in visited:
                     continue
                 visited.add(h)
@@ -291,7 +296,7 @@ def random_instances(
             length = rng.randint(1, 2 * max_len)
             g = PairElement("", "")
             for _ in range(length):
-                g = pair_mul(g, rng.choice(dirs))
+                g = _pair_mul(g, rng.choice(dirs))
             if len(g.first) <= max_len and len(g.second) <= max_len:
                 return g
 
@@ -301,8 +306,8 @@ def random_instances(
         if flag:
             g = PairElement("", "")
             for _ in range(rng.randint(0, CONJ_LEN)):
-                g = pair_mul(g, rng.choice(dirs))
-            v = pair_mul(pair_inverse(g), u, g)
+                g = _pair_mul(g, rng.choice(dirs))
+            v = _pair_mul(PairElement(*map(_inv, g)), u, g)
             yield RandomInstance(u, v, True, g)
         else:
             yield RandomInstance(u, draw_pair(), False, None)

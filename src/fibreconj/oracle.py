@@ -59,9 +59,14 @@ def make_strategy(pres: Presentation, kind: str, budget: int = 1_000_000) -> Str
     """Validate the strategy/presentation pairing and fix the exactness flag."""
     if budget <= 0:
         raise ValueError("budget must be positive")
-    exact = certified_abelian(pres) if kind == ABELIAN else kind == DEHN
+    exact = _exact(pres, kind)
     _check_pairing(pres, kind, exact)
     return StrategySpec(kind, budget, exact)
+
+
+def _exact(pres: Presentation, kind: str) -> bool:
+    """The one exactness rule: abelian iff certifiably abelian, dehn always, search never."""
+    return kind == DEHN or (kind == ABELIAN and certified_abelian(pres))
 
 
 def _check_pairing(pres: Presentation, kind: str, exact: bool) -> None:
@@ -70,8 +75,8 @@ def _check_pairing(pres: Presentation, kind: str, exact: bool) -> None:
         raise ValueError(f"unknown strategy {kind!r}")
     if kind == DEHN and not check_c16(pres):
         raise ValueError("greedy rewriting requires the C'(1/6) condition")
-    if kind == ABELIAN and exact and not certified_abelian(pres):
-        raise ValueError("an exact abelian strategy requires a certifiably abelian presentation")
+    if exact != _exact(pres, kind):
+        raise ValueError(f"exactness claim {exact} does not fit a {kind} strategy here")
 
 
 def auto_strategy(pres: Presentation, budget: int = 1_000_000) -> StrategySpec:
@@ -367,7 +372,9 @@ def power_decide(w: str, u: str, pres: Presentation, strat: StrategySpec) -> Pow
     """Decide whether w = u^p in Q for some integer p, reporting minimal |p|.
 
     The scan order 0, +1, -1, +2, -2, ... makes the reported exponent
-    the least in absolute value, ties to the positive one.
+    the least in absolute value, ties to the positive one.  Every Yes
+    has the certificate ("power", dec), dec a word-problem Yes for
+    w * u^-p; the exponent itself is stored only in the decision's p.
     """
     _check_pairing(pres, strat.kind, strat.exactness_claim)
     validate_word(w, pres.generators)
@@ -376,24 +383,18 @@ def power_decide(w: str, u: str, pres: Presentation, strat: StrategySpec) -> Pow
     u = free_reduce(u)
 
     if w == "":
-        dec = wp_decide("", pres, strat)
-        if not dec.yes:  # a non-exact strategy; the empty relator product proves 1 = 1
-            dec = Decision(Verdict.YES, ("product", VanKampenProduct(())))
-        return PowerDecision(Verdict.YES, 0, ("power", 0, dec))
+        return _freely_trivial(0)
 
     if not pres.relators:  # a free group: compare primitive roots
         if u == "":
             return PowerDecision(Verdict.NO, None, ("roots", None))
         rw = primitive_root(w)
         ru = primitive_root(u)
-        cert = ("roots", (rw.root, rw.exponent, ru.root, ru.exponent))
-        if rw.exponent % ru.exponent == 0:
+        if rw.exponent % ru.exponent == 0 and rw.root in (ru.root, inverse(ru.root)):
             p = rw.exponent // ru.exponent
-            if rw.root == ru.root:
-                return PowerDecision(Verdict.YES, p, ("power", p, cert))
-            if rw.root == inverse(ru.root):
-                return PowerDecision(Verdict.YES, -p, ("power", -p, cert))
-        return PowerDecision(Verdict.NO, None, cert)
+            return _freely_trivial(p if rw.root == ru.root else -p)
+        roots = (rw.root, rw.exponent, ru.root, ru.exponent)
+        return PowerDecision(Verdict.NO, None, ("roots", roots))
 
     if strat.kind == ABELIAN:
         model = _model(pres)
@@ -406,9 +407,15 @@ def power_decide(w: str, u: str, pres: Presentation, strat: StrategySpec) -> Pow
         dec = q_equal(w, power(u, p), pres, strat)
         if not dec.yes:
             raise AssertionError("abelian power solution failed its own check")
-        return PowerDecision(Verdict.YES, p, ("power", p, dec))
+        return PowerDecision(Verdict.YES, p, ("power", dec))
 
     return _power_by_scan(w, u, pres, strat)
+
+
+def _freely_trivial(p: int) -> PowerDecision:
+    """Yes, w = u^p, proved by the empty relator product: w * u^-p freely reduces to 1."""
+    empty = Decision(Verdict.YES, ("product", VanKampenProduct(())))
+    return PowerDecision(Verdict.YES, p, ("power", empty))
 
 
 def _scan_order(limit: int):
@@ -439,7 +446,7 @@ def _power_by_scan(w, u, pres, strat) -> PowerDecision:
     if ut.yes:
         dw = wp_decide(w, pres, strat)
         if dw.yes:
-            return PowerDecision(Verdict.YES, 0, ("power", 0, dw))
+            return PowerDecision(Verdict.YES, 0, ("power", dw))
         if dw.no:
             return PowerDecision(Verdict.NO, None, ("trivial-u", ut, dw))
         return PowerDecision(Verdict.UNKNOWN, None, ("budget", "undecided w with trivial u"))
@@ -460,7 +467,7 @@ def _power_by_scan(w, u, pres, strat) -> PowerDecision:
     for p in _scan_order(limit):
         dec = q_equal(w, power(u, p), pres, strat)
         if dec.yes:
-            return PowerDecision(Verdict.YES, p, ("power", p, dec))
+            return PowerDecision(Verdict.YES, p, ("power", dec))
         if dec.unknown:
             saw_unknown = True
         scanned.append((p, dec))
@@ -541,14 +548,9 @@ def check_power_decision(pd: PowerDecision, w: str, u: str, pres: Presentation) 
         case PowerDecision(Verdict.UNKNOWN):
             return True
         case PowerDecision(
-            Verdict.YES, int(p), ("power", q, Decision(Verdict.YES) as inner)
-        ) if q == p and type(p) is type(q) is int:
+            Verdict.YES, int(p), ("power", Decision(Verdict.YES) as inner)
+        ) if type(p) is int:
             return check_decision(inner, mul(w, inverse(power(u, p))), pres)
-        case PowerDecision(Verdict.YES, int(p), ("power", q, ("roots", tuple()))) if (
-            q == p and type(p) is type(q) is int and not pres.relators
-        ):
-            # free group: exponent arithmetic reduces to plain cancellation
-            return mul(w, inverse(power(u, p))) == ""
         case PowerDecision(Verdict.NO, None, ("roots", None)) if not pres.relators:
             return u == "" and w != ""
         case PowerDecision(Verdict.NO, None, ("roots", tuple(roots))) if (

@@ -40,14 +40,13 @@ class PerturbConfig:
 class PerturbResult:
     """Outcome of power_avoid.
 
-    outcome is "perturbed" or "exceptional".  word holds the perturbed
-    word, or the empty word in the exceptional case.  base_rep is the
-    strategy's normal form of the input, which the perturbation starts
-    from, and image_certificate witnesses that word agrees with the
-    input in Q.
+    word holds the perturbed word, or the empty word in the exceptional
+    case.  base_rep is the strategy's normal form of the input, which
+    the perturbation starts from.  k is the witness exponent appended,
+    None exactly when the result is exceptional, and image_certificate
+    witnesses that word agrees with the input in Q.
     """
 
-    outcome: str
     word: str
     base_rep: str
     k: int | None = None
@@ -55,11 +54,11 @@ class PerturbResult:
 
     @property
     def perturbed(self) -> bool:
-        return self.outcome == "perturbed"
+        return self.k is not None
 
     @property
     def exceptional(self) -> bool:
-        return self.outcome == "exceptional"
+        return self.k is None
 
 
 def kernel_witness(setup: SubdirectSetup) -> str:
@@ -105,4 +104,4 @@ def power_avoid(
     cert = q_equal(word, w, pres, strat)
     if not cert.yes:
         raise AssertionError("perturbation moved the Q-image")
-    return PerturbResult("perturbed" if w0 else "exceptional", word, w0, k, cert)
+    return PerturbResult(word, w0, k, cert)

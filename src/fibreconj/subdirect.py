@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .area import Presentation
 from .decisions import Decision, PowerDecision, Verdict, Verdicted
-from .oracle import StrategySpec, power_decide, q_equal
+from .oracle import StrategySpec, check_power_decision, power_decide, q_equal
 from .words import (
     free_conjugator,
     free_reduce,
@@ -89,12 +89,20 @@ def p_membership(pair, setup: SubdirectSetup, strat: StrategySpec) -> Decision:
 
 
 class PowerQuery(NamedTuple):
-    """One power-problem probe made while searching for a conjugator."""
+    """One power-problem probe made while searching for a conjugator: the
+    decision whether target is a power of z1 in Q, which verdict and p read."""
 
     j: int
     target: str
-    verdict: Verdict
-    p: int | None
+    decision: PowerDecision
+
+    @property
+    def verdict(self) -> Verdict:
+        return self.decision.verdict
+
+    @property
+    def p(self) -> int | None:
+        return self.decision.p
 
 
 @dataclass(frozen=True)
@@ -210,7 +218,7 @@ def p_conjugacy(U, V, setup: SubdirectSetup, strat: StrategySpec) -> ConjugacyRe
     for j in range(e2):
         tgt = mul2(power(z2, j), inverse(w))
         pd: PowerDecision = power_decide(tgt, z1, setup.pres, strat)
-        queries.append(PowerQuery(j, tgt, pd.verdict, pd.p))
+        queries.append(PowerQuery(j, tgt, pd))
         if pd.yes:
             winner = (j, pd.p)
             break
@@ -227,10 +235,11 @@ def replay_trace(result: ConjugacyResult, U, V, setup: SubdirectSetup, strat: St
     """Re-derive a positive conjugacy result from its trace.
 
     Matches the whole result: a Yes whose conjugator takes U to V inside
-    P and, on the main branch, whose recorded winning query re-runs to
-    the same exponent and rebuilds the same conjugator, all of its words
-    over the generators and its winner a pair of ints, not bools.
-    Returns False on any other result.
+    P and, on the main branch, whose winner (j, p) rebuilds the same
+    conjugator and whose last query, the winning one, is query j and
+    keeps a Yes with exponent p that check_power_decision accepts for
+    its target, all of its words over the generators and its winner a
+    pair of ints, not bools.  Returns False on any other result.
     """
     U = validate_pair(U, setup.pres.generators)
     V = validate_pair(V, setup.pres.generators)
@@ -251,16 +260,15 @@ def replay_trace(result: ConjugacyResult, U, V, setup: SubdirectSetup, strat: St
                 w=str(w),
                 z1=str(z1),
                 z2=str(z2),
-                queries=tuple(queries),
+                queries=(*_, PowerQuery(int(k), str(tgt), PowerDecision(Verdict.YES) as won)),
                 winner=(int(j), int(p)),
             ) as trace,
         ) if type(j) is type(p) is int and letters.issuperset(g1 + g2 + x2 + w + z1 + z2):
-            tgt = mul(power(z2, j), inverse(w))
             return (
                 pair_conjugate(U, gamma) == V
                 and p_membership(gamma, setup, strat).yes
-                and PowerQuery(j, tgt, Verdict.YES, p) in queries
-                and q_equal(tgt, power(z1, p), setup.pres, strat).yes
+                and (k, tgt, won.p) == (j, mul(power(z2, j), inverse(w)), p)
+                and check_power_decision(won, tgt, z1, setup.pres)
                 and _main_conjugator(trace, j, p) == gamma
             )
     return False

@@ -83,6 +83,26 @@ def test_brute_primitive_root_matches_fast_path():
         assert not is_proper_power(root)
 
 
+def test_brute_shares_no_free_reduction_with_the_engines(monkeypatch):
+    setup = canonical_setup(Z2)
+    pairs = [(("ab", "ab"), ("ba", "ba")), (("ab", "ba"), ("ba", "ab"))]  # found, absent
+
+    def run():
+        found = [brute_p_conjugacy(U, V, setup) for U, V in pairs]
+        return found, list(random_instances(setup, 3, 20))
+
+    expected = run()
+    assert [r.status for r in expected[0]] == [FOUND, ABSENT_WITHIN_BOUND]
+
+    def engine(*args):
+        raise AssertionError("brute force called engine word arithmetic")
+
+    for name in ("fibreconj.words.free_reduce", "fibreconj.subdirect.mul",
+                 "fibreconj.subdirect.inverse"):
+        monkeypatch.setattr(name, engine)
+    assert run() == expected
+
+
 def test_random_instances_deterministic():
     setup = canonical_setup(Z2)
     a = list(random_instances(setup, 99, 20))

@@ -56,7 +56,7 @@ def test_conj_positive_with_trace(capsys):
 def test_power_certificate_lines(capsys):
     code, out, _ = run(capsys, ["power", "-p", Z, "-w", "aaa", "-u", "a", "--show-certificate"])
     assert code == 0 and out[1] == (
-        "certificate: ('power', 3, Decision(verdict=<Verdict.YES: 'yes'>, "
+        "certificate: ('power', Decision(verdict=<Verdict.YES: 'yes'>, "
         "certificate=('abelian', (0, 0))))"
     )
     code, out, _ = run(capsys, ["power", "-p", G2, "-w", "ab", "-u", "a", "--show-certificate"])

@@ -12,6 +12,7 @@ from fibreconj.area import Presentation, VanKampenProduct
 from fibreconj.cli import parse_presentation_file
 from fibreconj.decisions import Decision, PowerDecision, Verdict
 from fibreconj.oracle import (
+    StrategySpec,
     _marked_rotations,
     _power_by_scan,
     _rewrite_rules,
@@ -105,6 +106,24 @@ def test_strategy_pairing_errors():
     with pytest.raises(ValueError):
         wp_decide("ab", Z2, make_strategy(G2, "dehn"))
     assert wp_decide("abAB", G2, make_strategy(G2, "abelian")).unknown
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [StrategySpec("search", 1000, True), StrategySpec("dehn", 1000, False),
+     StrategySpec("abelian", 1000, True)],
+    ids=["exact-search", "inexact-dehn", "exact-abelian"],
+)
+def test_hand_built_specs_obey_the_exactness_rule(spec):
+    # an exact search spec once gave normal_form("abAB", G2) == "", though
+    # [a, b] != 1 in genus 2
+    for query in (
+        lambda: wp_decide("abAB", G2, spec),
+        lambda: normal_form("abAB", G2, spec),
+        lambda: power_decide("abAB", "a", G2, spec),
+    ):
+        with pytest.raises(ValueError):
+            query()
 
 
 def test_dehn_greedy_examples():
@@ -451,11 +470,15 @@ def test_malformed_certificates_are_rejected():
         (PowerDecision(no, None, ("abelian",)), "ab", "b", Z),
         (PowerDecision(no, None, ("lattice",)), "ab", "b", Z),
         (PowerDecision(no, None, ("exhausted", 4, ())), "a" * 9, "aa", G2),
-        (PowerDecision(Verdict.YES, 2, ("power", 2, Decision(Verdict.YES, ("dehn", None, "")))),
+        (PowerDecision(Verdict.YES, 2, ("power", Decision(Verdict.YES, ("dehn", None, "")))),
          "aa", "a", G2),
         (PowerDecision(no, None, ("order", 3, dk, (("x", scanned[0][1]),))), "b", "a", ZXZ3),
-        # the exponent of a Yes and its recorded words must be the real ones
-        (PowerDecision(Verdict.YES, 4, ("power", 3, four.certificate[2])), "aaaa", "a", G2),
+        # the exponent of a Yes must be the one its certificate proves
+        (PowerDecision(Verdict.YES, 3, four.certificate), "aaaa", "a", G2),
+        # the exponent is stored once, in p: the former copies in the certificate are rejected
+        (PowerDecision(Verdict.YES, 4, ("power", 4, four.certificate[1])), "aaaa", "a", G2),
+        (PowerDecision(Verdict.YES, 2, ("power", 2, ("roots", ("ab", 2, "ab", 1)))),
+         "abab", "ab", FREE),
         (PowerDecision(no, None, ("lattice", (), ())), "ab", "b", Z),
     ]
     for pd, w, u, pres in powers:
@@ -475,8 +498,14 @@ def test_forged_well_formed_certificates_are_rejected():
     trivial = wp_decide("", G2, s)
     forged = PowerDecision(Verdict.NO, None, ("commutator", trivial))
     assert not check_power_decision(forged, "a", "a", G2)
-    forged = PowerDecision(Verdict.YES, 1, ("power", 1, wp_decide("bA", G2, s)))
+    forged = PowerDecision(Verdict.YES, 1, ("power", wp_decide("bA", G2, s)))
     assert not check_power_decision(forged, "b", "a", G2)
+    # the empty relator product proves only a free reduction to 1: w * u^-1 below is a
+    # relator, trivial in Q but not in F
+    empty = power_decide("", "a", G2, s).certificate
+    assert check_power_decision(PowerDecision(Verdict.YES, 0, empty), "cC", "a", G2)
+    for w, p in (("abABcdCDa", 1), ("a", 0), ("aa", 1)):
+        assert not check_power_decision(PowerDecision(Verdict.YES, p, empty), w, "a", G2), w
     # "free" is no certificate tag, with relators or without
     assert not check_decision(Decision(Verdict.NO, ("free", "abABcdCD")), "abABcdCD", G2)
     # a Dehn No must end in a word that no rewrite shortens: a truncated
@@ -491,14 +520,11 @@ def test_forged_well_formed_certificates_are_rejected():
 def test_bool_exponents_are_rejected():
     # True == 1, so each forgery below certifies a true fact, but a bool is
     # no exponent, as a bool is no step position in a Dehn trace
-    pd = power_decide("ab", "ab", Z2, auto_strategy(Z2))
-    inner = pd.certificate[2]
-    assert check_power_decision(PowerDecision(Verdict.YES, 1, ("power", 1, inner)), "ab", "ab", Z2)
-    for p, q in ((True, True), (1, True), (True, 1)):
-        forged = PowerDecision(Verdict.YES, p, ("power", q, inner))
-        assert check_power_decision(forged, "ab", "ab", Z2) is False, forged
-    free = PowerDecision(Verdict.YES, True, ("power", True, ("roots", ())))
-    assert check_power_decision(free, "a", "a", FREE) is False
+    for w, pres in (("ab", Z2), ("a", FREE)):
+        pd = power_decide(w, w, pres, auto_strategy(pres))
+        assert pd.p == 1 and check_power_decision(pd, w, w, pres)
+        forged = PowerDecision(Verdict.YES, True, pd.certificate)
+        assert check_power_decision(forged, w, w, pres) is False, forged
     # u = aaa = 1 over Z x Z/3, and b is not 1, so b is no power of u
     s = auto_strategy(ZXZ3)
     dk, db = wp_decide("aaa", ZXZ3, s), wp_decide("b", ZXZ3, s)
@@ -522,7 +548,9 @@ def test_certificates_for_words_outside_the_generators_are_rejected():
     # each certificate would fit x if x were a letter of the presentation
     zero = Decision(Verdict.YES, ("abelian", (0, 0)))
     assert not check_decision(zero, "x", Z2)
-    assert not check_power_decision(PowerDecision(Verdict.YES, 0, ("power", 0, zero)), "x", "a", Z2)
+    assert not check_power_decision(PowerDecision(Verdict.YES, 0, ("power", zero)), "x", "a", Z2)
+    empty = Decision(Verdict.YES, ("product", VanKampenProduct(())))
+    assert not check_power_decision(PowerDecision(Verdict.YES, 0, ("power", empty)), "xX", "a", Z2)
     assert not check_decision(Decision(Verdict.NO, ("dehn", (), "x")), "x", G2)
     assert not check_decision(Decision(Verdict.NO, ("free", "x")), "x", FREE)
 
@@ -547,6 +575,10 @@ def _real_certificates():
     s = auto_strategy(G2)
     powers = [
         (power_decide("aaaa", "a", G2, s), "aaaa", "a", G2),  # power
+        # w = 1 and free-group Yes: the empty relator product, whatever the strategy
+        (power_decide("cC", "a", G2, s), "cC", "a", G2),
+        (power_decide("bB", "a", Z2, auto_strategy(Z2)), "bB", "a", Z2),
+        (power_decide("", "ab", Z2, search), "", "ab", Z2),
         (power_decide("abab", "ab", FREE, auto_strategy(FREE)), "abab", "ab", FREE),
         (power_decide("aba", "ab", FREE, auto_strategy(FREE)), "aba", "ab", FREE),  # roots
         (power_decide("a", "", FREE, auto_strategy(FREE)), "a", "", FREE),
@@ -623,8 +655,7 @@ def test_forged_certificates_never_raise_or_back_a_wrong_verdict(data):
             assert not ok or verdict is real.verdict, cert
         return
     _, w, u, pres = cert_of
-    claimed = cert[1] if isinstance(cert, tuple) and len(cert) > 1 else None
-    for p in {real.p, claimed if isinstance(claimed, int) else 1}:
+    for p in {real.p, data.draw(st.integers(-4, 4))}:
         ok = check_power_decision(PowerDecision(Verdict.YES, p, cert), w, u, pres)
         assert isinstance(ok, bool)
         # a Yes may name any exponent that works, but only one that works

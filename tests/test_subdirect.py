@@ -7,12 +7,13 @@ import pytest
 
 from fibreconj.area import Presentation
 from fibreconj.brute import random_instances
-from fibreconj.decisions import Verdict
+from fibreconj.decisions import PowerDecision, Verdict
 from fibreconj.oracle import auto_strategy, power_decide, q_equal
 from fibreconj.subdirect import (
     ConjugacyResult,
     ConjugacyTrace,
     PairElement,
+    PowerQuery,
     canonical_setup,
     p_conjugacy,
     p_membership,
@@ -203,6 +204,33 @@ def test_replay_rejects_malformed_results():
         replace(res, conjugator=PairElement(gamma.first + "xX", gamma.second)),
     ):
         assert replay_trace(bad, U, V, setup, strat) is False, bad
+
+
+def test_replay_checks_the_winning_decision():
+    setup, strat = setup_for(G2)
+    U, V = ("d", "d"), ("BadAb", "dcDCbaBABadcDCbaBAdabABcdCDAbabABcdCD")
+    res = p_conjugacy(U, V, setup, strat)
+    assert res.yes and res.trace.branch == "main" and replay_trace(res, U, V, setup, strat)
+    trace = res.trace
+    j, p = trace.winner
+    won = trace.queries[-1]
+    assert (won.j, won.p) == (j, p)
+    # a decision about another target, equal in Q: same verdict and exponent,
+    # but its Dehn trace does not fit the winning target
+    other = power_decide(won.target + "abABcdCD", trace.z1, G2, strat)
+    assert other.yes and other.p == p
+    for last in (
+        PowerQuery(j, won.target, other),
+        PowerQuery(j, won.target, PowerDecision(Verdict.UNKNOWN, None, ("budget", ""))),
+        PowerQuery(j, won.target, None),
+        (j, won.target, won.decision),  # no PowerQuery
+    ):
+        forged = trace.queries[:-1] + (last,)
+        bad = replace(res, trace=replace(trace, queries=forged))
+        assert replay_trace(bad, U, V, setup, strat) is False, last
+    # the winning query is the last one
+    bad = replace(res, trace=replace(trace, queries=trace.queries + (won._replace(j=j + 1),)))
+    assert replay_trace(bad, U, V, setup, strat) is False
 
 
 def _pad(w, rng, letters):
