@@ -17,6 +17,7 @@ from typing import NamedTuple
 from . import words
 from .decisions import OracleUnknown
 from .words import (
+    _split_core,
     cyclic_reduce,
     exponent_vector,
     free_reduce,
@@ -376,7 +377,7 @@ def area_bounded(
     mul2 = words.mul2
     cap = maxM if maxM is not None else 10_000
 
-    core, t = cyclic_reduce(w)
+    core, t = _split_core(w)
     h0 = max(_bounds(core, tables, gens)[0], _core_bound(core, forms))
     if h0 > cap:
         return AreaResult(None, None, True)

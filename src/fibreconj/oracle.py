@@ -253,7 +253,8 @@ def dehn_greedy_trace(w: str, pres: Presentation):
     L - 1 letters plus those cancelled, so a whole rewrite tries the
     pattern at O(L * |w|) positions.  The regular expression engine
     does that in C and follows one trie branch per letter.  Each step
-    copies the word once.
+    copies the word once.  w itself is freely reduced here, once; this
+    is the only reduction a dehn wp_decide makes.
     """
     if not check_c16(pres):
         raise ValueError("greedy rewriting requires the C'(1/6) condition")
@@ -288,7 +289,15 @@ def _rotation_by_mark(pres: Presentation) -> dict[tuple[int, int, int], str]:
 
 
 def replay_dehn_trace(w: str, steps, pres: Presentation) -> str:
-    """Re-apply a recorded greedy trace, validating every step."""
+    """Re-apply a recorded greedy trace, validating every step.
+
+    w is freely reduced once; after that each step is two seam-only
+    products (mul2), whatever the trace says: the word stays reduced and
+    the replacement inverse(s[j:]) is part of a reduced rotation, so
+    letters can cancel only where it meets its neighbours.  So a step
+    copies the word, as in dehn_greedy_trace, instead of reducing the
+    whole of it again.
+    """
     marks = _rotation_by_mark(pres)
     w = free_reduce(w)
     for pos, mark, j in steps:
@@ -299,7 +308,7 @@ def replay_dehn_trace(w: str, steps, pres: Presentation) -> str:
             raise ValueError(f"step length {j} out of range for {s!r}")
         if w[pos : pos + j] != s[:j]:
             raise ValueError(f"step does not match the word at position {pos}")
-        w = free_reduce(w[:pos] + inverse(s[j:]) + w[pos + j :])
+        w = mul2(mul2(w[:pos], inverse(s[j:])), w[pos + j :])
     return w
 
 
@@ -314,11 +323,14 @@ def wp_decide(w: str, pres: Presentation, strat: StrategySpec) -> Decision:
     """Decide whether w represents the identity in Q.
 
     Yes/No always carry certificates; a non-exact strategy returns
-    Unknown where its theory cannot speak.
+    Unknown where its theory cannot speak.  w is validated here and
+    freely reduced at most once, by the strategy that needs it: the
+    greedy rewrite and area search reduce their input, and the abelian
+    strategy reads w's exponent vector, which free reduction does not
+    change.
     """
     _check_pairing(pres, strat.kind, strat.exactness_claim)
     validate_word(w, pres.generators)
-    w = free_reduce(w)
 
     if strat.kind == ABELIAN:
         residues = _model(pres).residues(w)
@@ -361,7 +373,8 @@ def q_equal(u: str, v: str, pres: Presentation, strat: StrategySpec) -> Decision
     """Decide u = v in Q via triviality of u*v^-1.
 
     u and v are validated here, so an error names the word at fault;
-    the product u*v^-1 is reduced once, by wp_decide.
+    the product u*v^-1 is reduced at most once, by the strategy that
+    wp_decide hands it to.
     """
     validate_word(u, pres.generators)
     validate_word(v, pres.generators)

@@ -232,14 +232,17 @@ def p_conjugacy(U, V, setup: SubdirectSetup, strat: StrategySpec) -> ConjugacyRe
 
 
 def replay_trace(result: ConjugacyResult, U, V, setup: SubdirectSetup, strat: StrategySpec) -> bool:
-    """Re-derive a positive conjugacy result from its trace.
+    """Re-derive a conjugacy result from its trace.
 
     Matches the whole result: a Yes whose conjugator takes U to V inside
     P and, on the main branch, whose winner (j, p) rebuilds the same
     conjugator and whose last query, the winning one, is query j and
     keeps a Yes with exponent p that check_power_decision accepts for
     its target, all of its words over the generators and its winner a
-    pair of ints, not bools.  Returns False on any other result.
+    pair of ints, not bools.  A coords No replays when free_conjugator,
+    run again on U and V, gives exactly its (x1, x2) and one of them is
+    None: the coordinates are not conjugate in F, so no pair in P
+    conjugates U to V.  Returns False on any other result.
     """
     U = validate_pair(U, setup.pres.generators)
     V = validate_pair(V, setup.pres.generators)
@@ -271,4 +274,9 @@ def replay_trace(result: ConjugacyResult, U, V, setup: SubdirectSetup, strat: St
                 and check_power_decision(won, tgt, z1, setup.pres)
                 and _main_conjugator(trace, j, p) == gamma
             )
+        case ConjugacyResult(Verdict.NO, None, ConjugacyTrace(branch="coords") as trace):
+            xs = (free_conjugator(U[0], V[0]), free_conjugator(U[1], V[1]))
+            # equality with the rebuilt trace leaves no other field set,
+            # and a str or None is never equal to a bool
+            return None in xs and trace == ConjugacyTrace("coords", *xs)
     return False

@@ -1,4 +1,5 @@
-"""Shared pytest wiring: collects one summary line per acceptance criterion."""
+"""Shared pytest wiring and helpers: collects one summary line per acceptance
+criterion, and pads words with cancelling pairs."""
 
 import pytest
 
@@ -7,6 +8,15 @@ ACCEPTANCE_LINES: list[str] = []
 
 def record(criterion: int, details: str) -> None:
     ACCEPTANCE_LINES.append(f"ACCEPTANCE {criterion}: PASS ({details})")
+
+
+def pad(w: str, rng, letters: str) -> str:
+    """w with one to three cancelling pairs (aA, Bb, ...) inserted at seeded positions."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(w))
+        c = rng.choice(letters)
+        w = w[:i] + c + c.swapcase() + w[i:]
+    return w
 
 
 def pytest_configure(config):

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import pad
+from fibreconj import area, oracle, words
 from fibreconj.abelian import abelian_model
-from fibreconj.area import Presentation, VanKampenProduct
+from fibreconj.area import Presentation, VanKampenProduct, area_bounded
 from fibreconj.cli import parse_presentation_file
 from fibreconj.decisions import Decision, PowerDecision, Verdict
 from fibreconj.oracle import (
@@ -191,6 +193,61 @@ def _leftmost_rescan(w: str, pres: Presentation):
         steps.append((pos, mark, j))
 
 
+def _full_reduction_replay(w: str, steps, pres: Presentation) -> str:
+    """Reference replay: the step rule of _leftmost_rescan, which freely
+    reduces the whole word after every step."""
+    marks = {mark: s for s, mark in _marked_rotations(pres)}
+    w = free_reduce(w)
+    for pos, mark, j in steps:
+        s = marks[mark]
+        assert len(s) // 2 < j <= len(s) and w[pos : pos + j] == s[:j]
+        w = free_reduce(w[:pos] + inverse(s[j:]) + w[pos + j :])
+    return w
+
+
+def _seeded_relator_product(rng, pres: Presentation, factors: int) -> str:
+    """A product of conjugated rotations of the relators and their inverses."""
+    rotations = [s for s, _ in _marked_rotations(pres)]
+    w = ""
+    for _ in range(factors):
+        g = random_reduced_word(rng, pres.generators, rng.randint(0, 4))
+        w = mul(w, inverse(g), rng.choice(rotations), g)
+    return w
+
+
+def _any_step(rng, w: str, pres: Presentation):
+    """A step that passes every check of replay_dehn_trace, greedy or not, or None."""
+    fits = [
+        (pos, mark, j)
+        for s, mark in _marked_rotations(pres)
+        for pos in range(len(w))
+        for j in range(len(s) // 2 + 1, len(s) + 1)
+        if w[pos : pos + j] == s[:j]
+    ]
+    return rng.choice(fits) if fits else None
+
+
+@pytest.mark.parametrize("pres", [G2, G2G3], ids=["genus2", "genus2xgenus3"])
+def test_replay_dehn_trace_matches_full_reduction_replay(pres):
+    # replay multiplies at the two seams of each step only; the answer must
+    # be the one of reducing the whole word after every step
+    rng = random.Random(20)
+    letters = pres.generators + pres.generators.upper()
+    for _ in range(60):
+        w = _seeded_relator_product(rng, pres, rng.randint(1, 8))
+        w += random_reduced_word(rng, pres.generators, rng.randint(0, 6))
+        w = pad(w, rng, letters)
+        terminal, steps = dehn_greedy_trace(w, pres)
+        assert replay_dehn_trace(w, steps, pres) == _full_reduction_replay(w, steps, pres) == terminal
+        # steps the greedy rewrite would not take: the replacement may
+        # cancel against its neighbours
+        cur, taken = free_reduce(w), []
+        while (step := _any_step(rng, cur, pres)) is not None:
+            taken.append(step)
+            cur = _full_reduction_replay(cur, [step], pres)
+        assert replay_dehn_trace(w, taken, pres) == cur
+
+
 def _surface_words(pres: Presentation, max_size: int):
     return st.text(alphabet=pres.generators + pres.generators.upper(), max_size=max_size)
 
@@ -315,6 +372,70 @@ def test_q_equal():
     assert q_equal("a", "b", Z2, strat).no
     with pytest.raises(ValueError):
         q_equal("x", "a", Z2, strat)
+
+
+NOISY = Presentation("ab", ("aba",))  # neither abelian by inspection nor C'(1/6)
+
+
+@pytest.mark.parametrize(
+    "pres, kind",
+    [(Z2, "abelian"), (ZXZ3, "abelian"), (G2, "dehn"), (FREE, "dehn"), (NOISY, "search")],
+    ids=["z2-abelian", "zxz3-abelian", "genus2-dehn", "free-dehn", "search"],
+)
+def test_unreduced_words_get_the_answers_of_reduced_ones(pres, kind):
+    # wp_decide hands the raw word to its strategy, which reduces it once
+    # or, abelian, reads only its exponent vector
+    strat = make_strategy(pres, kind, 2_000)
+    rng = random.Random(20)
+    letters = pres.generators + pres.generators.upper()
+    answered = set()
+    for _ in range(60):
+        if pres.relators and rng.random() < 0.5:
+            w = _seeded_relator_product(rng, pres, rng.randint(1, 2))
+        else:
+            w = random_reduced_word(rng, pres.generators, rng.randint(0, 8))
+        padded = pad(w, rng, letters)
+        dec = wp_decide(padded, pres, strat)
+        assert dec == wp_decide(w, pres, strat), (w, padded)
+        assert check_decision(dec, padded, pres) and check_decision(dec, w, pres)
+        answered.add(dec.verdict)
+        if strat.exactness_claim:
+            assert normal_form(padded, pres, strat) == normal_form(w, pres, strat)
+        got = area_bounded(padded, 3, pres, state_budget=500)
+        assert got == area_bounded(w, 3, pres, state_budget=500), (w, padded)
+    assert Verdict.YES in answered and len(answered) == 2
+
+
+def _count_free_reduce(monkeypatch) -> list[str]:
+    """Record the argument of every free_reduce call made through oracle, area or words."""
+    seen = []
+    real = words.free_reduce
+
+    def counting(w):
+        seen.append(w)
+        return real(w)
+
+    for module in (oracle, area, words):
+        monkeypatch.setattr(module, "free_reduce", counting)
+    return seen
+
+
+def test_wp_decide_reduces_once(monkeypatch):
+    # warm the per-presentation caches, which reduce relators on first use
+    for pres in (G2, Z2):
+        wp_decide("", pres, auto_strategy(pres))
+    padded = "aA" + "abABcdCD" + "dD" + "c"  # trivial times c
+    seen = _count_free_reduce(monkeypatch)
+    dec = wp_decide(padded, G2, auto_strategy(G2))
+    assert dec.no and dec.certificate[2] == "c"
+    assert seen == [padded]  # by dehn_greedy_trace, and only there
+    seen.clear()
+    assert wp_decide("aA" + "abAB" + "bB", Z2, auto_strategy(Z2)).yes
+    assert seen == []  # the abelian strategy reads the exponent vector
+    seen.clear()
+    # a nontrivial word with zero exponent sum: the search runs out of budget
+    assert wp_decide("bB" + "acAC", G2, make_strategy(G2, "search", 200)).unknown
+    assert seen == ["bB" + "acAC"]  # by area_bounded, which splits the core off its reduction
 
 
 def test_power_free_strategy():

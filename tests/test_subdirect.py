@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import pad
 from fibreconj.area import Presentation
 from fibreconj.brute import random_instances
 from fibreconj.decisions import PowerDecision, Verdict
@@ -233,13 +234,51 @@ def test_replay_checks_the_winning_decision():
     assert replay_trace(bad, U, V, setup, strat) is False
 
 
-def _pad(w, rng, letters):
-    """w with one to three cancelling pairs (aA, Bb, ...) inserted at seeded positions."""
-    for _ in range(rng.randint(1, 3)):
-        i = rng.randint(0, len(w))
-        c = rng.choice(letters)
-        w = w[:i] + c + c.swapcase() + w[i:]
-    return w
+@pytest.mark.parametrize("pres", [Z2, ZXZ3, G2], ids=["z2", "zxz3", "genus2"])
+def test_coords_nos_replay(pres):
+    setup, strat = setup_for(pres)
+    nos = 0
+    for inst in random_instances(setup, 5, 200):
+        u, v = inst.pair_u, inst.pair_v
+        res = p_conjugacy(u, v, setup, strat)
+        if res.no and res.trace.branch == "coords":
+            nos += 1
+            assert replay_trace(res, u, v, setup, strat) is True, (u, v)
+    assert nos >= 90
+
+
+def test_replay_rejects_forged_coords_nos():
+    setup, strat = setup_for(Z2)
+    # the first coordinates are not conjugate in F, the second ones are
+    U, V = ("ab", "ab"), ("aBAbab", "ba")
+    res = p_conjugacy(U, V, setup, strat)
+    assert res.no and res.trace == ConjugacyTrace("coords", None, "a")
+    assert replay_trace(res, U, V, setup, strat) is True
+    trace = res.trace
+    forged = [
+        replace(res, trace=replace(trace, x1="b")),  # a wrong x1
+        replace(res, trace=replace(trace, x2="A")),
+        replace(res, trace=replace(trace, x2=None)),
+        replace(res, trace=replace(trace, x1=False)),  # a bool, not None
+        replace(res, trace=replace(trace, x2=True)),
+        replace(res, trace=replace(trace, x2=("a",))),  # no str
+        replace(res, trace=replace(trace, x2=0)),
+        replace(res, trace=replace(trace, w="")),  # a field the coords branch leaves unset
+        replace(res, trace=replace(trace, branch="main")),
+        replace(res, verdict=Verdict.YES),  # a Yes with a coords trace
+        replace(res, verdict=Verdict.YES, conjugator=PairElement("", "a")),
+        replace(res, verdict=Verdict.UNKNOWN),
+        replace(res, conjugator=PairElement("", "a")),
+    ]
+    for bad in forged:
+        assert replay_trace(bad, U, V, setup, strat) is False, bad
+    # both coordinates conjugate, so the coords branch does not end in No,
+    # even with the conjugators that free_conjugator finds
+    W = ("ba", "ba")
+    assert replay_trace(res, U, W, setup, strat) is False
+    both = ConjugacyResult(Verdict.NO, None, ConjugacyTrace("coords", "a", "a"))
+    assert replay_trace(both, U, W, setup, strat) is False
+    assert p_conjugacy(U, W, setup, strat).yes
 
 
 @pytest.mark.parametrize("pres", [Z2, ZXZ3, G2], ids=["z2", "zxz3", "genus2"])
@@ -252,8 +291,8 @@ def test_unreduced_inputs_get_the_answers_of_reduced_ones(pres):
     found = 0
     for inst in random_instances(setup, 7, 40):
         u, v = inst.pair_u, inst.pair_v
-        pu = PairElement(_pad(u[0], rng, letters), _pad(u[1], rng, letters))
-        pv = PairElement(_pad(v[0], rng, letters), _pad(v[1], rng, letters))
+        pu = PairElement(pad(u[0], rng, letters), pad(u[1], rng, letters))
+        pv = PairElement(pad(v[0], rng, letters), pad(v[1], rng, letters))
         res = p_conjugacy(u, v, setup, strat)
         found += res.yes
         assert p_conjugacy(pu, pv, setup, strat) == res, (u, v)
