@@ -30,7 +30,7 @@ from .oracle import (
     wp_decide,
 )
 from .perturb import KMaxExhausted, PerturbConfig, power_avoid
-from .subdirect import canonical_setup, p_conjugacy, p_membership
+from .subdirect import canonical_setup, conjugacy_words, p_conjugacy, p_membership, replay_trace
 from .words import (
     free_conjugator,
     free_reduce,
@@ -272,8 +272,8 @@ def _run_member(args, pres, strat) -> int:
 
 
 def _run_conj(args, pres, strat) -> int:
-    U = (_word_arg(args.u1, pres), _word_arg(args.u2, pres))
-    V = (_word_arg(args.v1, pres), _word_arg(args.v2, pres))
+    U = (free_reduce(_word_arg(args.u1, pres)), free_reduce(_word_arg(args.u2, pres)))
+    V = (free_reduce(_word_arg(args.v1, pres)), free_reduce(_word_arg(args.v2, pres)))
     res = p_conjugacy(U, V, canonical_setup(pres), strat)
     if res.yes:
         _emit(args, f"YES {_pair_str(res.conjugator)}", verdict="YES",
@@ -284,11 +284,12 @@ def _run_conj(args, pres, strat) -> int:
         t = res.trace
         print(f"branch: {t.branch}")
         if t.branch == "main":
-            print(f"x1={word_str(t.x1)} x2={word_str(t.x2)} w={word_str(t.w)}")
-            print(f"z1={word_str(t.z1)}^{t.e1} z2={word_str(t.z2)}^{t.e2}")
+            d = conjugacy_words(U, V)
+            print(f"x1={word_str(d.x1)} x2={word_str(d.x2)} w={word_str(d.w)}")
+            print(f"z1={word_str(d.z1)}^{d.e1} z2={word_str(d.z2)}^{d.e2}")
             for q in t.queries:
                 print(f"query j={q.j} target={word_str(q.target)} "
-                      f"verdict={q.verdict.name} p={q.p}")
+                      f"verdict={q.decision.verdict.name} p={q.decision.p}")
             print(f"winner: {t.winner}")
     return _EXIT[res.verdict]
 
@@ -368,13 +369,13 @@ def _run_verify(args, pres, strat) -> int:
             if res.unknown:
                 unknowns += 1
                 continue
-            if res.yes and ref.status == "FOUND":
+            replays = replay_trace(res, inst.pair_u, inst.pair_v, setup, strat)
+            if replays and not (res.no and ref.status == "FOUND"):
                 agreements += 1
-            elif res.no and ref.status == "FOUND":
-                disagreements += 1
-                print(f"disagree U={_pair_str(inst.pair_u)} V={_pair_str(inst.pair_v)}")
             else:
-                agreements += 1
+                disagreements += 1
+                print(f"disagree U={_pair_str(inst.pair_u)} V={_pair_str(inst.pair_v)} "
+                      f"engine={res.verdict.name} brute={ref.status}")
     elif args.what == "power":
         for _ in range(args.count):
             w = random_reduced_word(rng, pres.generators, rng.randint(0, args.max_len))

@@ -90,24 +90,47 @@ def p_membership(pair, setup: SubdirectSetup, strat: StrategySpec) -> Decision:
 
 class PowerQuery(NamedTuple):
     """One power-problem probe made while searching for a conjugator: the
-    decision whether target is a power of z1 in Q, which verdict and p read."""
+    decision whether target is a power of z1 in Q."""
 
     j: int
     target: str
     decision: PowerDecision
 
-    @property
-    def verdict(self) -> Verdict:
-        return self.decision.verdict
 
-    @property
-    def p(self) -> int | None:
-        return self.decision.p
+class ConjugacyWords(NamedTuple):
+    """Free conjugators x_i (None if u_i, v_i are not conjugate in F) and,
+    on the main branch only, w = x1 * x2^-1 and the roots u_i = z_i^e_i."""
+
+    x1: str | None
+    x2: str | None
+    w: str | None = None
+    z1: str | None = None
+    e1: int | None = None
+    z2: str | None = None
+    e2: int | None = None
+
+    def target(self, j: int) -> str:
+        """z2^j * w^-1, the word of main-branch query j."""
+        return mul2(power(self.z2, j), inverse(self.w))
+
+    def conjugator(self, j: int, p: int) -> PairElement:
+        """(z1^p * w * x2, z2^j * x2): the main-branch conjugator for the pair (j, p)."""
+        return PairElement(mul(power(self.z1, p), self.w, self.x2), mul(power(self.z2, j), self.x2))
+
+
+def conjugacy_words(U: PairElement, V: PairElement) -> ConjugacyWords:
+    """The words p_conjugacy works with, derived from reduced U and V."""
+    x1 = free_conjugator(U[0], V[0])
+    x2 = free_conjugator(U[1], V[1])
+    if x1 is None or x2 is None or U[0] == "" or U[1] == "":
+        return ConjugacyWords(x1, x2)
+    r1, r2 = primitive_root(U[0]), primitive_root(U[1])
+    return ConjugacyWords(x1, x2, mul2(x1, inverse(x2)), r1.root, r1.exponent, r2.root, r2.exponent)
 
 
 @dataclass(frozen=True)
 class ConjugacyTrace:
-    """Everything needed to replay a conjugacy decision.
+    """What p_conjugacy decided; conjugacy_words re-derives its words from U and V.
 
     branch is one of "coords", "deg-first", "deg-second", "main".  For
     the main branch the queries record each probe "z2^j * w^-1 is a
@@ -116,13 +139,6 @@ class ConjugacyTrace:
     """
 
     branch: str
-    x1: str | None = None
-    x2: str | None = None
-    w: str | None = None
-    z1: str | None = None
-    e1: int | None = None
-    z2: str | None = None
-    e2: int | None = None
     queries: tuple[PowerQuery, ...] = ()
     winner: tuple[int, int] | None = None
 
@@ -132,12 +148,6 @@ class ConjugacyResult(Verdicted):
     verdict: Verdict
     conjugator: PairElement | None
     trace: ConjugacyTrace
-
-
-def _main_conjugator(trace: ConjugacyTrace, j: int, p: int) -> PairElement:
-    """(z1^p * w * x2, z2^j * x2): the main-branch conjugator for the pair (j, p)."""
-    zeta = PairElement(mul(power(trace.z1, p), trace.w), power(trace.z2, j))
-    return pair_mul(zeta, PairElement(trace.x2, trace.x2))
 
 
 def _conjugate2(g: str, u: str) -> str:
@@ -179,45 +189,30 @@ def p_conjugacy(U, V, setup: SubdirectSetup, strat: StrategySpec) -> ConjugacyRe
         if member.no:
             raise ValueError(f"{name} is not an element of P")
         if member.unknown:
-            return ConjugacyResult(
-                Verdict.UNKNOWN, None, ConjugacyTrace(branch="coords")
-            )
+            return ConjugacyResult(Verdict.UNKNOWN, None, ConjugacyTrace("coords"))
 
-    u1, u2 = U
-    v1, v2 = V
-    x1 = free_conjugator(u1, v1)
-    x2 = free_conjugator(u2, v2)
-    if x1 is None or x2 is None:
-        return ConjugacyResult(
-            Verdict.NO, None, ConjugacyTrace(branch="coords", x1=x1, x2=x2)
-        )
-
-    if u1 == "" and v1 == "":
-        gamma = PairElement(x2, x2)
-        trace = ConjugacyTrace(branch="deg-first", x1=x1, x2=x2)
-        return _finish(U, V, gamma, trace, setup, strat)
-    if u2 == "" and v2 == "":
-        gamma = PairElement(x1, x1)
-        trace = ConjugacyTrace(branch="deg-second", x1=x1, x2=x2)
-        return _finish(U, V, gamma, trace, setup, strat)
+    words = conjugacy_words(U, V)
+    if words.x1 is None or words.x2 is None:
+        return ConjugacyResult(Verdict.NO, None, ConjugacyTrace("coords"))
+    # the coordinates are conjugate, so U and V have the same trivial ones
+    if U[0] == "":
+        gamma = PairElement(words.x2, words.x2)
+        return _finish(U, V, gamma, ConjugacyTrace("deg-first"), setup, strat)
+    if U[1] == "":
+        gamma = PairElement(words.x1, words.x1)
+        return _finish(U, V, gamma, ConjugacyTrace("deg-second"), setup, strat)
 
     # Main branch: both coordinates nontrivial.  Any conjugator in F x F
     # has the form (z1^p * x1, z2^q * x2) with z_i the primitive root of
     # u_i; such a pair lies in P iff z1^p * w = z2^q in Q, w = x1 * x2^-1.
     # Since u2 = z2^e2 equals u1 = z1^e1 in Q, shifting q by e2 shifts p
     # by e1, so scanning q = j in [0, e2) loses nothing.
-    w = mul2(x1, inverse(x2))
-    r1 = primitive_root(u1)
-    r2 = primitive_root(u2)
-    z1, e1 = r1.root, r1.exponent
-    z2, e2 = r2.root, r2.exponent
-
     queries: list[PowerQuery] = []
     winner = None
     saw_unknown = False
-    for j in range(e2):
-        tgt = mul2(power(z2, j), inverse(w))
-        pd: PowerDecision = power_decide(tgt, z1, setup.pres, strat)
+    for j in range(words.e2):
+        tgt = words.target(j)
+        pd: PowerDecision = power_decide(tgt, words.z1, setup.pres, strat)
         queries.append(PowerQuery(j, tgt, pd))
         if pd.yes:
             winner = (j, pd.p)
@@ -225,58 +220,59 @@ def p_conjugacy(U, V, setup: SubdirectSetup, strat: StrategySpec) -> ConjugacyRe
         if pd.unknown:
             saw_unknown = True
 
-    trace = ConjugacyTrace("main", x1, x2, w, z1, e1, z2, e2, tuple(queries), winner)
+    trace = ConjugacyTrace("main", tuple(queries), winner)
     if winner is not None:
-        return _finish(U, V, _main_conjugator(trace, *winner), trace, setup, strat)
+        return _finish(U, V, words.conjugator(*winner), trace, setup, strat)
     return ConjugacyResult(Verdict.UNKNOWN if saw_unknown else Verdict.NO, None, trace)
 
 
-def replay_trace(result: ConjugacyResult, U, V, setup: SubdirectSetup, strat: StrategySpec) -> bool:
-    """Re-derive a conjugacy result from its trace.
+def _replays_query(q, j: int, verdict: Verdict, p, words: ConjugacyWords, pres) -> bool:
+    """q is main-branch query j about z2^j * w^-1, holding a decision with this
+    verdict and exponent that check_power_decision accepts for z1."""
+    match q:
+        case PowerQuery(int(k), str(tgt), PowerDecision() as dec) if type(k) is int:
+            fits = (k, tgt, dec.verdict, dec.p) == (j, words.target(j), verdict, p)
+            return fits and check_power_decision(dec, tgt, words.z1, pres)
+    return False
 
-    Matches the whole result: a Yes whose conjugator takes U to V inside
-    P and, on the main branch, whose winner (j, p) rebuilds the same
-    conjugator and whose last query, the winning one, is query j and
-    keeps a Yes with exponent p that check_power_decision accepts for
-    its target, all of its words over the generators and its winner a
-    pair of ints, not bools.  A coords No replays when free_conjugator,
-    run again on U and V, gives exactly its (x1, x2) and one of them is
-    None: the coordinates are not conjugate in F, so no pair in P
-    conjugates U to V.  Returns False on any other result.
+
+def replay_trace(result: ConjugacyResult, U, V, setup: SubdirectSetup, strat: StrategySpec) -> bool:
+    """Re-derive a conjugacy result from U and V, matching the whole result.
+
+    Its words and its branch come from U and V, never from the result.
+    A Yes replays when its conjugator, over the generators, takes U to V
+    inside P; on the main branch the winner (j, p), ints and not bools,
+    must rebuild it, and the last query must be query j holding a Yes
+    with exponent p.  A main No replays when its queries are j = 0 ... e2-1,
+    each holding a No: q matters only mod e2 in the conjugators
+    (z1^p * x1, z2^q * x2).  Query j must be about z2^j * w^-1, with a
+    decision that check_power_decision accepts for z1.  A coords No
+    replays when some u_i is not conjugate to v_i in F.  Returns False
+    on any other result.
     """
     U = validate_pair(U, setup.pres.generators)
     V = validate_pair(V, setup.pres.generators)
     letters = word_letters(setup.pres.generators)
+    words = conjugacy_words(U, V)
+    main = words.w is not None
     match result:
-        case ConjugacyResult(
-            Verdict.YES,
-            PairElement(str(g1), str(g2)) as gamma,
-            ConjugacyTrace(branch="deg-first" | "deg-second"),
-        ) if letters.issuperset(g1 + g2):
-            return pair_conjugate(U, gamma) == V and p_membership(gamma, setup, strat).yes
-        case ConjugacyResult(
-            Verdict.YES,
-            PairElement(str(g1), str(g2)) as gamma,
-            ConjugacyTrace(
-                branch="main",
-                x2=str(x2),
-                w=str(w),
-                z1=str(z1),
-                z2=str(z2),
-                queries=(*_, PowerQuery(int(k), str(tgt), PowerDecision(Verdict.YES) as won)),
-                winner=(int(j), int(p)),
-            ) as trace,
-        ) if type(j) is type(p) is int and letters.issuperset(g1 + g2 + x2 + w + z1 + z2):
-            return (
-                pair_conjugate(U, gamma) == V
-                and p_membership(gamma, setup, strat).yes
-                and (k, tgt, won.p) == (j, mul(power(z2, j), inverse(w)), p)
-                and check_power_decision(won, tgt, z1, setup.pres)
-                and _main_conjugator(trace, j, p) == gamma
+        case ConjugacyResult(Verdict.YES, PairElement(str(g1), str(g2)) as gamma, trace) if (
+            letters.issuperset(g1 + g2)
+            and pair_conjugate(U, gamma) == V
+            and p_membership(gamma, setup, strat).yes
+        ):
+            if not main:  # the coordinates are conjugate, so U has a trivial one
+                return trace == ConjugacyTrace("deg-first" if U[0] == "" else "deg-second")
+            match trace:
+                case ConjugacyTrace("main", (*_, won), (int(j), int(p))) if type(j) is type(p) is int:
+                    return _replays_query(won, j, Verdict.YES, p, words, setup.pres) and (
+                        words.conjugator(j, p) == gamma
+                    )
+        case ConjugacyResult(Verdict.NO, None, ConjugacyTrace("main", tuple(queries), None)) if main:
+            return len(queries) == words.e2 and all(
+                _replays_query(q, j, Verdict.NO, None, words, setup.pres)
+                for j, q in enumerate(queries)
             )
-        case ConjugacyResult(Verdict.NO, None, ConjugacyTrace(branch="coords") as trace):
-            xs = (free_conjugator(U[0], V[0]), free_conjugator(U[1], V[1]))
-            # equality with the rebuilt trace leaves no other field set,
-            # and a str or None is never equal to a bool
-            return None in xs and trace == ConjugacyTrace("coords", *xs)
+        case ConjugacyResult(Verdict.NO, None, trace) if trace == ConjugacyTrace("coords"):
+            return words.x1 is None or words.x2 is None
     return False

@@ -7,6 +7,7 @@ report; any exhaustion, contradiction, or overrun fails the suite.
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -181,17 +182,20 @@ def test_criterion_4_conjugacy_vs_brute_force(conjugacy_battery):
 
 @pytest.mark.acceptance(5)
 def test_criterion_5_positive_traces_replay(conjugacy_battery):
+    # every definite answer replays, Yes and No alike, counted per branch
     batteries, _ = conjugacy_battery
     t0 = time.monotonic()
-    replayed = 0
+    replayed = Counter()
     for _key, (setup, strat, rows) in batteries.items():
         for inst, res, _ref in rows:
-            if res.yes:
-                assert replay_trace(res, inst.pair_u, inst.pair_v, setup, strat)
-                replayed += 1
-    assert replayed > 0
+            if not res.unknown:
+                assert replay_trace(res, inst.pair_u, inst.pair_v, setup, strat), inst
+                replayed[f"{res.verdict.name} {res.trace.branch}"] += 1
+    assert {key.split()[0] for key in replayed} == {"YES", "NO"}
+    total = sum(replayed.values())
+    per_branch = ", ".join(f"{key} {n}" for key, n in sorted(replayed.items()))
     elapsed = time.monotonic() - t0
-    record(5, f"{replayed}/{replayed} positive traces replay; {elapsed:.1f}s")
+    record(5, f"{total}/{total} definite traces replay ({per_branch}); {elapsed:.1f}s")
 
 
 @pytest.mark.acceptance(6)

@@ -3,11 +3,14 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from fibreconj import cli
 from fibreconj.cli import main
+from fibreconj.subdirect import ConjugacyTrace, p_conjugacy
 from fibreconj.words import free_reduce, inverse
 
 PRES = Path(__file__).resolve().parents[1] / "presentations"
@@ -51,6 +54,55 @@ def test_conj_positive_with_trace(capsys):
     assert code == 0
     assert out[0] == "YES (A; A)"
     assert any(line.startswith("branch:") for line in out)
+
+
+@pytest.mark.parametrize("pres, argv, code, lines", [
+    (Z, ["b", "b", "abA", "abA"], 0, [
+        "YES (A; A)",
+        "branch: main",
+        "x1=A x2=A w=1",
+        "z1=b^1 z2=b^1",
+        "query j=0 target=1 verdict=YES p=0",
+        "winner: (0, 0)",
+    ]),
+    (Z, ["b", "b", "abA", "b"], 1, [
+        "NO",
+        "branch: main",
+        "x1=A x2=1 w=A",
+        "z1=b^1 z2=b^1",
+        "query j=0 target=a verdict=NO p=None",
+        "winner: None",
+    ]),
+    (Z2, ["aa", "aa", "baaB", "aa"], 1, [
+        "NO",
+        "branch: main",
+        "x1=B x2=1 w=B",
+        "z1=a^2 z2=a^2",
+        "query j=0 target=b verdict=NO p=None",
+        "query j=1 target=ab verdict=NO p=None",
+        "winner: None",
+    ]),
+], ids=["z-yes", "z-no", "z2-no"])
+def test_conj_certificate_lines(capsys, pres, argv, code, lines):
+    # the x1/z1 lines are re-derived from U and V, not read from the trace
+    flags = ["--u1", "--u2", "--v1", "--v2"]
+    args = [x for pair in zip(flags, argv) for x in pair]
+    got, out, _ = run(capsys, ["conj", "-p", pres, *args, "--show-certificate"])
+    assert got == code and out == lines
+
+
+def test_verify_conj_counts_unreplayable_answers(capsys, monkeypatch):
+    # a definite answer whose trace does not replay is a disagreement,
+    # even where brute force finds nothing to contradict it
+    def bare(*args):
+        res = p_conjugacy(*args)
+        return replace(res, trace=ConjugacyTrace(res.trace.branch))
+
+    monkeypatch.setattr(cli, "p_conjugacy", bare)
+    code, out, _ = run(capsys, ["verify", "conj", "-p", Z2, "--count", "20", "--seed", "5"])
+    assert code == 1
+    assert out[-1].startswith("RESULT instances=20 ") and "disagreements=0" not in out[-1]
+    assert any(line.startswith("disagree ") and "engine=YES" in line for line in out)
 
 
 def test_power_certificate_lines(capsys):

@@ -9,13 +9,14 @@ from conftest import pad
 from fibreconj.area import Presentation
 from fibreconj.brute import random_instances
 from fibreconj.decisions import PowerDecision, Verdict
-from fibreconj.oracle import auto_strategy, power_decide, q_equal
+from fibreconj.oracle import auto_strategy, check_power_decision, power_decide, q_equal
 from fibreconj.subdirect import (
     ConjugacyResult,
     ConjugacyTrace,
     PairElement,
     PowerQuery,
     canonical_setup,
+    conjugacy_words,
     p_conjugacy,
     p_membership,
     pair_conjugate,
@@ -84,7 +85,7 @@ def test_conjugacy_negative_example():
     res = p_conjugacy(("b", "b"), ("abA", "b"), setup, strat)
     assert res.no
     assert res.trace.branch == "main"
-    assert all(q.verdict.name == "NO" for q in res.trace.queries)
+    assert all(q.decision.verdict.name == "NO" for q in res.trace.queries)
 
 
 def test_conjugacy_coordinate_obstruction():
@@ -121,6 +122,15 @@ def test_conjugacy_degenerate_branches():
     V2 = (free_reduce("A" + "abAB" + "a"), "")
     res2 = p_conjugacy(U2, V2, setup, strat)
     assert res2.yes and res2.trace.branch == "deg-second"
+    assert replay_trace(res2, U2, V2, setup, strat)
+    # the branch must be the one U takes, and a degenerate trace holds nothing else
+    for bad, (u, v) in (
+        (replace(res, trace=ConjugacyTrace("deg-second")), (U, V)),
+        (replace(res, trace=ConjugacyTrace("deg-first", winner=(0, 0))), (U, V)),
+        (replace(res2, trace=ConjugacyTrace("deg-first")), (U2, V2)),
+        (replace(res2, trace=ConjugacyTrace("deg-second", ((0, "", None),))), (U2, V2)),
+    ):
+        assert replay_trace(bad, u, v, setup, strat) is False, bad
 
     # mixed trivial/nontrivial first coordinates fail coordinatewise
     res3 = p_conjugacy(("", "abAB"), ("abAB", "abAB"), setup, strat)
@@ -159,9 +169,13 @@ def test_constructed_conjugates_found():
 
 
 def test_replay_rejects_non_positive():
+    # a main-branch No replays; the same trace claimed as an Unknown does not
     setup, strat = setup_for(Z)
-    res = p_conjugacy(("b", "b"), ("abA", "b"), setup, strat)
-    assert not replay_trace(res, ("b", "b"), ("abA", "b"), setup, strat)
+    U, V = ("b", "b"), ("abA", "b")
+    res = p_conjugacy(U, V, setup, strat)
+    assert res.no and res.trace.branch == "main"
+    assert replay_trace(res, U, V, setup, strat) is True
+    assert replay_trace(replace(res, verdict=Verdict.UNKNOWN), U, V, setup, strat) is False
 
 
 def test_replay_rejects_malformed_results():
@@ -176,11 +190,15 @@ def test_replay_rejects_malformed_results():
         replace(res, conjugator=None),
         replace(res, conjugator=tuple(res.conjugator)),
         replace(res, trace=replace(trace, branch="coords")),
+        # a true Yes, but U is on the main branch
+        replace(res, trace=ConjugacyTrace("deg-first")),
+        replace(res, trace=replace(trace, branch="deg-second")),
         replace(res, trace=replace(trace, winner=None)),
         replace(res, trace=replace(trace, winner=("x", p))),
         replace(res, trace=replace(trace, winner=(j, p, 0))),
-        replace(res, trace=replace(trace, z1=None)),
-        replace(res, trace=replace(trace, x2=None)),
+        replace(res, trace=replace(trace, winner=(j + 1, p))),
+        replace(res, trace=replace(trace, winner=(j, p + 1))),
+        replace(res, trace=replace(trace, queries=())),
         replace(res, trace=replace(trace, queries=None)),
         replace(res, trace=replace(trace, queries=(None,))),
         ConjugacyResult(Verdict.YES, res.conjugator, None),
@@ -201,7 +219,9 @@ def test_replay_rejects_malformed_results():
     for bad in (
         # False == 0, but a bool is no exponent
         replace(res, trace=replace(res.trace, winner=(False, -1))),
-        replace(res, trace=replace(res.trace, z1="x")),
+        replace(res, trace=replace(res.trace, queries=(
+            res.trace.queries[-1]._replace(target=res.trace.queries[-1].target + "xX"),
+        ))),
         replace(res, conjugator=PairElement(gamma.first + "xX", gamma.second)),
     ):
         assert replay_trace(bad, U, V, setup, strat) is False, bad
@@ -215,10 +235,11 @@ def test_replay_checks_the_winning_decision():
     trace = res.trace
     j, p = trace.winner
     won = trace.queries[-1]
-    assert (won.j, won.p) == (j, p)
+    assert (won.j, won.decision.p) == (j, p)
+    z1 = conjugacy_words(validate_pair(U, "abcd"), validate_pair(V, "abcd")).z1
     # a decision about another target, equal in Q: same verdict and exponent,
     # but its Dehn trace does not fit the winning target
-    other = power_decide(won.target + "abABcdCD", trace.z1, G2, strat)
+    other = power_decide(won.target + "abABcdCD", z1, G2, strat)
     assert other.yes and other.p == p
     for last in (
         PowerQuery(j, won.target, other),
@@ -252,18 +273,15 @@ def test_replay_rejects_forged_coords_nos():
     # the first coordinates are not conjugate in F, the second ones are
     U, V = ("ab", "ab"), ("aBAbab", "ba")
     res = p_conjugacy(U, V, setup, strat)
-    assert res.no and res.trace == ConjugacyTrace("coords", None, "a")
+    assert res.no and res.trace == ConjugacyTrace("coords")
     assert replay_trace(res, U, V, setup, strat) is True
     trace = res.trace
+    query = PowerQuery(0, "a", power_decide("a", "b", Z2, strat))
     forged = [
-        replace(res, trace=replace(trace, x1="b")),  # a wrong x1
-        replace(res, trace=replace(trace, x2="A")),
-        replace(res, trace=replace(trace, x2=None)),
-        replace(res, trace=replace(trace, x1=False)),  # a bool, not None
-        replace(res, trace=replace(trace, x2=True)),
-        replace(res, trace=replace(trace, x2=("a",))),  # no str
-        replace(res, trace=replace(trace, x2=0)),
-        replace(res, trace=replace(trace, w="")),  # a field the coords branch leaves unset
+        # fields the coords branch leaves unset
+        replace(res, trace=replace(trace, queries=(query,))),
+        replace(res, trace=replace(trace, queries=[])),  # a list, not the empty tuple
+        replace(res, trace=replace(trace, winner=(0, 0))),
         replace(res, trace=replace(trace, branch="main")),
         replace(res, verdict=Verdict.YES),  # a Yes with a coords trace
         replace(res, verdict=Verdict.YES, conjugator=PairElement("", "a")),
@@ -272,13 +290,49 @@ def test_replay_rejects_forged_coords_nos():
     ]
     for bad in forged:
         assert replay_trace(bad, U, V, setup, strat) is False, bad
-    # both coordinates conjugate, so the coords branch does not end in No,
-    # even with the conjugators that free_conjugator finds
+    # both coordinates conjugate, so the coords branch does not end in No
     W = ("ba", "ba")
     assert replay_trace(res, U, W, setup, strat) is False
-    both = ConjugacyResult(Verdict.NO, None, ConjugacyTrace("coords", "a", "a"))
-    assert replay_trace(both, U, W, setup, strat) is False
     assert p_conjugacy(U, W, setup, strat).yes
+
+
+def test_replay_rejects_forged_main_nos():
+    setup, strat = setup_for(Z2)
+    U, V = ("aa", "aa"), ("baaB", "aa")
+    res = p_conjugacy(U, V, setup, strat)
+    assert res.no and res.trace.branch == "main" and len(res.trace.queries) == 2
+    assert replay_trace(res, U, V, setup, strat) is True
+    trace = res.trace
+    q0, q1 = trace.queries
+    unknown = PowerDecision(Verdict.UNKNOWN, None, ("budget", ""))
+    other = power_decide("bb", "a", Z2, strat)  # a real No about another target
+    assert other.no and check_power_decision(other, "bb", "a", Z2)
+    # query 2 as p_conjugacy would make it, but e2 = 2 stops the scan at j = 1
+    extra = PowerQuery(2, "aab", power_decide("aab", "a", Z2, strat))
+    assert extra.decision.no
+
+    def with_queries(*queries):
+        return replace(res, trace=replace(trace, queries=queries))
+
+    forged = [
+        with_queries(q0),  # a query dropped
+        with_queries(q1),
+        with_queries(q0, q1, extra),  # an extra query
+        with_queries(q0, q1, q0),
+        with_queries(q1, q0),  # two queries swapped
+        with_queries(q0._replace(j=1), q1._replace(j=0)),
+        with_queries(q0, q1._replace(decision=unknown)),  # an Unknown
+        with_queries(q0._replace(decision=other), q1),  # a No about another target
+        with_queries(q0._replace(decision=q1.decision), q1),
+        with_queries(q1._replace(j=0), q1),  # query 1's target and No as query 0
+        replace(res, trace=replace(trace, winner=(0, 1))),  # a winner on a No
+    ]
+    for bad in forged:
+        assert replay_trace(bad, U, V, setup, strat) is False, bad
+    # the first coordinates of U and W are not conjugate in F
+    W = ("abaB", "aa")
+    assert p_conjugacy(U, W, setup, strat).trace.branch == "coords"
+    assert replay_trace(res, U, W, setup, strat) is False
 
 
 @pytest.mark.parametrize("pres", [Z2, ZXZ3, G2], ids=["z2", "zxz3", "genus2"])
