@@ -480,13 +480,22 @@ def _factor_options(u: str, s: str, t: str, forms) -> list[tuple[str, str]]:
     """(theta, relator) choices for the factor peeled from inserting s after u.
 
     t is the conjugator stripped from the input word, appended to theta.
+    g, u and t are reduced (a relator piece, a prefix of a reduced state
+    and the stripped tail), so theta cancels only at the two seams.
     """
+    mul2 = words.mul2  # see area_bounded
     z = inverse(s)
-    return [(mul(g, inverse(u), t), base) for base, g in forms[z]]
+    u_inv = inverse(u)
+    return [(mul2(mul2(g, u_inv), t), base) for base, g in forms[z]]
 
 
 def _best_noise_assignment(option_rows: list[list[tuple[str, str]]]):
-    """Dynamic program over per-factor (theta, relator) choices minimizing noise."""
+    """Dynamic program over per-factor (theta, relator) choices minimizing noise.
+
+    Every theta is reduced (see _factor_options), so each
+    theta_i * theta_{i+1}^-1 cancels only at its seam.
+    """
+    mul2 = words.mul2  # see area_bounded
     m = len(option_rows)
     costs = [[len(t) for t, _ in option_rows[0]]]
     back: list[list[int]] = [[-1] * len(option_rows[0])]
@@ -496,8 +505,9 @@ def _best_noise_assignment(option_rows: list[list[tuple[str, str]]]):
         for theta, _ in option_rows[i]:
             best = None
             arg = -1
+            theta_inv = inverse(theta)
             for j, (pt, _) in enumerate(option_rows[i - 1]):
-                c = costs[i - 1][j] + len(mul(pt, inverse(theta)))
+                c = costs[i - 1][j] + len(mul2(pt, theta_inv))
                 if best is None or c < best:
                     best = c
                     arg = j
@@ -591,16 +601,22 @@ def _area_lookup(pres: Presentation):
 def dehn_function(n: int, pres: Presentation, wp) -> int:
     """Largest area among words of length at most n that are trivial in Q.
 
-    wp is a callable word -> Decision deciding triviality; it must be
-    definite on every candidate (an Unknown raises OracleUnknown).  Area
-    search escalates without a factor cap, which terminates because only
-    certified-trivial words are searched.
+    Only cyclically reduced words are asked about: a reduced word
+    x * c * x^-1 is conjugate to its shorter cyclic core c, which is
+    enumerated too and has the same triviality and the same area, so
+    skipping it leaves the maximum unchanged.  wp is a callable
+    word -> Decision deciding triviality; it must be definite on every
+    cyclically reduced candidate (an Unknown raises OracleUnknown).
+    Area search escalates without a factor cap, which terminates because
+    only certified-trivial words are searched.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     area_of = _area_lookup(pres)
     best = 0
     for w in reduced_words(pres.generators, n):
+        if w and w[0] == w[-1].swapcase():
+            continue  # conjugate to its cyclic core, asked about on its own
         dec = wp(w)
         if dec.unknown:
             raise OracleUnknown(f"word problem oracle undecided on {w!r}")

@@ -342,6 +342,9 @@ def _run_verify(args, pres, strat) -> int:
     rng = random.Random(args.seed)
 
     if args.what == "area":
+        # the largest brute-force area over every reduced trivial word,
+        # against dehn_function, which asks about cyclically reduced ones only
+        brute_delta = 0
         for w in reduced_words(pres.generators, args.max_len):
             dec = wp_decide(w, pres, strat)
             if dec.unknown:
@@ -354,11 +357,21 @@ def _run_verify(args, pres, strat) -> int:
             ref = brute_area(w, pres, max_states=args.budget)
             if mine is None or ref is None:
                 unknowns += 1
-            elif mine == ref:
+                continue
+            brute_delta = max(brute_delta, ref)
+            if mine == ref:
                 agreements += 1
             else:
                 disagreements += 1
                 print(f"disagree word={word_str(w)} engine={mine} brute={ref}")
+        if not unknowns:
+            instances += 1
+            delta = dehn_function(args.max_len, pres, lambda w: wp_decide(w, pres, strat))
+            if delta == brute_delta:
+                agreements += 1
+            else:
+                disagreements += 1
+                print(f"disagree dehn n={args.max_len} engine={delta} brute={brute_delta}")
     elif args.what == "conj":
         setup = canonical_setup(pres)
         for inst in random_instances(setup, args.seed, args.count,

@@ -226,12 +226,13 @@ def p_conjugacy(U, V, setup: SubdirectSetup, strat: StrategySpec) -> ConjugacyRe
     return ConjugacyResult(Verdict.UNKNOWN if saw_unknown else Verdict.NO, None, trace)
 
 
-def _replays_query(q, j: int, verdict: Verdict, p, words: ConjugacyWords, pres) -> bool:
-    """q is main-branch query j about z2^j * w^-1, holding a decision with this
-    verdict and exponent that check_power_decision accepts for z1."""
+def _replays_query(q, j: int, verdicts, p, words: ConjugacyWords, pres) -> bool:
+    """q is main-branch query j about z2^j * w^-1, holding a decision with one
+    of these verdicts and this exponent that check_power_decision accepts
+    for z1."""
     match q:
         case PowerQuery(int(k), str(tgt), PowerDecision() as dec) if type(k) is int:
-            fits = (k, tgt, dec.verdict, dec.p) == (j, words.target(j), verdict, p)
+            fits = (k, tgt, dec.p) == (j, words.target(j), p) and dec.verdict in verdicts
             return fits and check_power_decision(dec, tgt, words.z1, pres)
     return False
 
@@ -241,14 +242,15 @@ def replay_trace(result: ConjugacyResult, U, V, setup: SubdirectSetup, strat: St
 
     Its words and its branch come from U and V, never from the result.
     A Yes replays when its conjugator, over the generators, takes U to V
-    inside P; on the main branch the winner (j, p), ints and not bools,
-    must rebuild it, and the last query must be query j holding a Yes
-    with exponent p.  A main No replays when its queries are j = 0 ... e2-1,
-    each holding a No: q matters only mod e2 in the conjugators
-    (z1^p * x1, z2^q * x2).  Query j must be about z2^j * w^-1, with a
-    decision that check_power_decision accepts for z1.  A coords No
-    replays when some u_i is not conjugate to v_i in F.  Returns False
-    on any other result.
+    inside P; on the main branch the winner (j, p), ints and not bools
+    with 0 <= j < e2, must rebuild it, and the queries must be
+    k = 0 ... j: each k < j holding a No or an Unknown, as the scan went
+    on past them, and query j a Yes with exponent p.  A main No replays
+    when its queries are j = 0 ... e2-1, each holding a No: q matters
+    only mod e2 in the conjugators (z1^p * x1, z2^q * x2).  Query k must
+    be about z2^k * w^-1, with a decision that check_power_decision
+    accepts for z1.  A coords No replays when some u_i is not conjugate
+    to v_i in F.  Returns False on any other result.
     """
     U = validate_pair(U, setup.pres.generators)
     V = validate_pair(V, setup.pres.generators)
@@ -264,13 +266,21 @@ def replay_trace(result: ConjugacyResult, U, V, setup: SubdirectSetup, strat: St
             if not main:  # the coordinates are conjugate, so U has a trivial one
                 return trace == ConjugacyTrace("deg-first" if U[0] == "" else "deg-second")
             match trace:
-                case ConjugacyTrace("main", (*_, won), (int(j), int(p))) if type(j) is type(p) is int:
-                    return _replays_query(won, j, Verdict.YES, p, words, setup.pres) and (
-                        words.conjugator(j, p) == gamma
+                case ConjugacyTrace("main", (*missed, won), (int(j), int(p))) if (
+                    type(j) is type(p) is int and len(missed) == j < words.e2
+                ):
+                    missed_verdicts = (Verdict.NO, Verdict.UNKNOWN)
+                    return (
+                        all(
+                            _replays_query(q, k, missed_verdicts, None, words, setup.pres)
+                            for k, q in enumerate(missed)
+                        )
+                        and _replays_query(won, j, (Verdict.YES,), p, words, setup.pres)
+                        and words.conjugator(j, p) == gamma
                     )
         case ConjugacyResult(Verdict.NO, None, ConjugacyTrace("main", tuple(queries), None)) if main:
             return len(queries) == words.e2 and all(
-                _replays_query(q, j, Verdict.NO, None, words, setup.pres)
+                _replays_query(q, j, (Verdict.NO,), None, words, setup.pres)
                 for j, q in enumerate(queries)
             )
         case ConjugacyResult(Verdict.NO, None, trace) if trace == ConjugacyTrace("coords"):

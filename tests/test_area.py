@@ -23,6 +23,7 @@ from fibreconj.words import (
     exponent_vector,
     free_reduce,
     inverse,
+    is_cyclically_reduced,
     is_reduced,
     mul,
     mul2,
@@ -427,6 +428,68 @@ def test_dehn_function_values():
     assert [vals[n] for n in range(9)] == sorted(vals[n] for n in range(9))
     assert dehn_function(4, Z, wp_for(Z)) == 4
     assert dehn_function(3, Z3, wp_for(Z3)) == 1
+
+
+def _dehn_every_word(n, pres, wp):
+    """dehn_function as it was before the cyclic-word skip: it asks about every reduced word."""
+    area_of = area._area_lookup(pres)
+    best = 0
+    for w in reduced_words(pres.generators, n):
+        dec = wp(w)
+        if dec.unknown:
+            raise OracleUnknown(f"word problem oracle undecided on {w!r}")
+        if dec.yes:
+            best = max(best, area_of(w))
+    return best
+
+
+FREE = Presentation("ab", ())
+
+
+@pytest.mark.parametrize("pres, top", [
+    (Z, 7), (Z2, 8), (Z3, 6), (ZA3, 6), (FREE, 6),
+], ids=["z", "z2", "z3", "zxz3", "free"])
+def test_dehn_function_matches_every_word_loop(monkeypatch, pres, top):
+    # the skipped words x * c * x^-1 change neither the value nor the
+    # words searched, and the oracle hears about cyclically reduced words only
+    searched = []
+    real = area.area_bounded
+
+    def recording(w, *args, **kwargs):
+        searched.append(w)
+        return real(w, *args, **kwargs)
+
+    monkeypatch.setattr(area, "area_bounded", recording)
+    wp = wp_for(pres)
+    asked = []
+
+    def counting(w):
+        asked.append(w)
+        return wp(w)
+
+    for n in range(top + 1):
+        searched.clear()
+        want = _dehn_every_word(n, pres, wp)
+        want_searched = set(searched)
+        searched.clear()
+        asked.clear()
+        assert dehn_function(n, pres, counting) == want, n
+        assert set(searched) == want_searched, n
+        cyclic = [w for w in reduced_words(pres.generators, n) if is_cyclically_reduced(w)]
+        assert asked == cyclic, n
+
+
+def test_dehn_function_asks_about_cyclically_reduced_words():
+    wp = wp_for(Z2)
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return wp(w)
+
+    for n in range(4, 8):
+        dehn_function(n, Z2, counting)
+    assert len(calls) == 4900
 
 
 def test_dehn_function_needs_definite_oracle():

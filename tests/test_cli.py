@@ -223,9 +223,20 @@ def test_gens_rejects_unfit_oracle(capsys):
 
 
 def test_verify_area(capsys):
+    # 9 trivial words, then dehn_function(4) against their largest brute-force area
     code, out, _ = run(capsys, ["verify", "area", "-p", Z2, "--max-len", "4"])
     assert code == 0
-    assert out[-1] == "RESULT instances=9 agreements=9 disagreements=0 unknowns=0"
+    assert out[-1] == "RESULT instances=10 agreements=10 disagreements=0 unknowns=0"
+
+
+def test_verify_area_counts_a_wrong_dehn_function(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "dehn_function", lambda n, pres, wp: 2)
+    code, out, _ = run(capsys, ["verify", "area", "-p", Z2, "--max-len", "4"])
+    assert code == 1
+    assert out == [
+        "disagree dehn n=4 engine=2 brute=1",
+        "RESULT instances=10 agreements=9 disagreements=1 unknowns=0",
+    ]
 
 
 def test_verify_conj(capsys):

@@ -335,6 +335,60 @@ def test_replay_rejects_forged_main_nos():
     assert replay_trace(res, U, W, setup, strat) is False
 
 
+@pytest.mark.parametrize("pres, U, V, winner, other", [
+    (Z2, ("abaB", "aa"), ("aabaBA", "abABaabaBA"), (1, 1), "bb"),
+    (Z, ("abaa", "aaa"), ("Baabab", "Baaab"), (2, 0), "aa"),
+], ids=["z2", "z"])
+def test_replay_checks_every_query_before_the_winner(pres, U, V, winner, other):
+    # a main Yes with winner (j, p) holds queries 0 ... j, each k < j a
+    # No or Unknown about z2^k * w^-1 that the scan went on past
+    setup, strat = setup_for(pres)
+    res = p_conjugacy(U, V, setup, strat)
+    trace = res.trace
+    assert res.yes and trace.branch == "main" and trace.winner == winner
+    assert len(trace.queries) == winner[0] + 1
+    assert replay_trace(res, U, V, setup, strat) is True
+    q0, *rest = trace.queries
+    won = trace.queries[-1]
+    z1 = conjugacy_words(validate_pair(U, pres.generators), validate_pair(V, pres.generators)).z1
+    unknown = PowerDecision(Verdict.UNKNOWN, None, ("budget", ""))
+    # a real No about a target that differs from query 0's in Q
+    other_no = power_decide(other, z1, pres, strat)
+    assert other_no.no and not check_power_decision(other_no, q0.target, z1, pres)
+
+    def with_queries(*queries):
+        return replace(res, trace=replace(trace, queries=queries))
+
+    # an Unknown before the winner is what the scan passes over
+    assert replay_trace(with_queries(q0._replace(decision=unknown), *rest), U, V, setup, strat)
+    forged = [
+        with_queries((None, "junk"), *trace.queries),  # a junk prefix
+        with_queries(*rest),  # a query dropped
+        with_queries(q0, *trace.queries[:-1]),  # the winner dropped, query 0 twice
+        with_queries(q0, *trace.queries),  # a query duplicated
+        with_queries(rest[0], q0, *rest[1:]),  # two queries swapped
+        with_queries(q0._replace(decision=won.decision), *rest),  # a prefix Yes
+        with_queries(q0._replace(decision=other_no), *rest),  # a No about another target
+        with_queries(q0._replace(decision=replace(unknown, p=0)), *rest),
+    ]
+    for bad in forged:
+        assert replay_trace(bad, U, V, setup, strat) is False, bad
+
+
+def test_main_yeses_replay_only_whole():
+    setup, strat = setup_for(Z2)
+    yeses = 0
+    for inst in random_instances(setup, 5, 300):
+        u, v = inst.pair_u, inst.pair_v
+        res = p_conjugacy(u, v, setup, strat)
+        if res.yes and res.trace.branch == "main":
+            yeses += 1
+            assert replay_trace(res, u, v, setup, strat) is True, (u, v)
+            trace = replace(res.trace, queries=((None, "junk"),) + res.trace.queries)
+            assert replay_trace(replace(res, trace=trace), u, v, setup, strat) is False, (u, v)
+    assert yeses == 128
+
+
 @pytest.mark.parametrize("pres", [Z2, ZXZ3, G2], ids=["z2", "zxz3", "genus2"])
 def test_unreduced_inputs_get_the_answers_of_reduced_ones(pres):
     # the queries reduce their inputs once and then multiply reduced words
