@@ -283,22 +283,22 @@ def _core_bound(v: str, forms) -> int:
     return 1 if v[i:j] in forms else 2
 
 
-def _finishing_moves(v: str, tables: _Tables) -> list[tuple[str, str]]:
-    """All (prefix, inserted string) pairs that cancel v to the empty word.
+def _finishing_moves(v: str, tables: _Tables):
+    """Yield the (prefix, inserted string) pairs that cancel v to the empty word.
 
     Inserting s after prefix x of v = x*y kills v iff s equals the
     inverse of the reduced rotation y*x, which must then be an
-    insertable string.
+    insertable string.  Pairs come in order of the prefix length, one
+    rotation at a time, so a caller that stops at the first pair that
+    serves builds no other rotation.
     """
     mul2 = words.mul2  # see area_bounded
-    out = []
     for k in range(len(v) + 1):
         t = mul2(v[k:], v[:k])
         if len(t) in tables.lengths:
             s = inverse(t)
             if s in tables.forms:
-                out.append((v[:k], s))
-    return out
+                yield v[:k], s
 
 
 _PARENT_CAP = 4
@@ -328,26 +328,29 @@ def area_bounded(
     search is a depth-first walk, and it builds children lazily (partial
     expansion, Yoshizumi-Miura-Ishida 2000): a popped state builds only
     its next child under the contour, in (k, s) order, and goes back on
-    the heap with the index of the candidate after it.  The child has
+    the heap with the index of the candidate after it and its child
+    bound, so it is not bounded again when it pops.  The child has
     larger g, so it pops first.  States pop in the order whole
     expansions would pop them, and each candidate is scanned once, so
     the lazy walk builds a subset of their states, the same ones if no
     finisher is found.  If its heap empties without a finisher, the
     search restarts from c under the contour maxM (10,000 when None),
-    expanding each popped state whole: there f varies, and the later
-    children of a lazy state would pop out of A* order.  Any contour at
-    or above m pops the states of f <= m in the same order, and none
-    past them, so the contours do not change the area.  Nor do they
-    change the first path that the witness tries: only the routes to a
-    state that an unfinished scan has not reached yet are missing when
-    a finisher pops.  One restart, not a contour raised step by step,
-    keeps a search that never finishes (w nontrivial) at the cost of one
-    capped search plus the first contour: a low contour builds few
-    children per expansion, so stepping would spend far more expansions
-    on the same state budget.
+    expanding each popped state whole, so each is bounded once: there
+    f varies, and the later children of a lazy state would pop out of
+    A* order.  Any contour at or above m pops the states of f <= m in
+    the same order, and none past them, so the contours do not change
+    the area.  Nor do they change the first path that the witness
+    tries: only the routes to a state that an unfinished scan has not
+    reached yet are missing when a finisher pops.  One restart, not a
+    contour raised step by step, keeps a search that never finishes (w
+    nontrivial) at the cost of one capped search plus the first
+    contour: a low contour builds few children per expansion, so
+    stepping would spend far more expansions on the same state budget.
+    The root's bounds are computed once and give h0 and its children's
+    bounds on both contours.
     Every conjugator of the witness is right-multiplied by t; the
-    witness is checked to evaluate back to w and to meet the noise bound
-    m*L + |w|, and states with f = m are popped until one does.
+    witness must meet the noise bound m*L + |w|, and states with f = m
+    are popped until one does; _assemble_witness checks that it spells w.
     maxM = None searches without an area cap.  The state budget counts
     the states of every contour together; it is checked before every
     pop and turns an oversized search into a budget_exhausted result,
@@ -378,7 +381,8 @@ def area_bounded(
     cap = maxM if maxM is not None else 10_000
 
     core, t = _split_core(w)
-    h0 = max(_bounds(core, tables, gens)[0], _core_bound(core, forms))
+    root_h, root_bound = _bounds(core, tables, gens)
+    h0 = max(root_h, _core_bound(core, forms))
     if h0 > cap:
         return AreaResult(None, None, True)
 
@@ -390,8 +394,10 @@ def area_bounded(
         lazy = contour == h0
         dist = {core: 0}
         parents: dict[str, list[tuple[str, int, str]]] = {core: []}
-        # (f, -g, seq, state, index k * n + j of its next candidate (k, strings[j]))
-        heap = [(h0, 0, 0, core, 0)]
+        # (f, -g, seq, state, resume): resume is 0 for a state not yet
+        # expanded, else (index k * n + j of its next candidate
+        # (k, strings[j]), its child bound), so no state is bounded twice
+        heap = [(h0, 0, 0, core, (0, root_bound))]
         seq = 1
         m = None
         tried = 0
@@ -401,7 +407,7 @@ def area_bounded(
                 return AreaResult(
                     None, None, False, states=states + len(dist), budget_exhausted=True
                 )
-            f, neg_g, order, v, start = heappop(heap)
+            f, neg_g, order, v, resume = heappop(heap)
             g = -neg_g
             if dist[v] != g:
                 continue  # superseded by a shorter route
@@ -418,7 +424,10 @@ def area_bounded(
                     best_noise = noise if best_noise is None else min(best_noise, noise)
                 continue
             g1 = g + 1
-            bound = _bounds(v, tables, gens)[1]
+            if resume:
+                start, bound = resume
+            else:
+                start, bound = 0, _bounds(v, tables, gens)[1]
             k0, j0 = divmod(start, n)
             row = strings[j0:]
             for k in range(k0, len(v) + 1):
@@ -447,7 +456,8 @@ def area_bounded(
                     seq += 1
                     if lazy:
                         # the child has larger g, so it pops first
-                        heappush(heap, (f, neg_g, order, v, k * n + strings.index(s) + 1))
+                        resume = (k * n + strings.index(s) + 1, bound)
+                        heappush(heap, (f, neg_g, order, v, resume))
                         break
                 else:
                     row = strings
@@ -538,30 +548,45 @@ def _assemble_witness(w, t, m, v_end, parents, tables, pres):
     one factor per move; per-factor conjugator choices are optimized by
     dynamic programming, and paths are tried in deterministic order, at
     most _PATH_CAP of them, until one meets the noise bound m*L + |w|.
+    A path's rows for its earlier moves are built once, and the
+    finishing moves of v_end are built one at a time on the first path
+    (then kept for the others), so a first option that meets the bound
+    costs one rotation of v_end.
+    The accepted product is checked to spell w with seam-only products
+    of its parts: mul2 only cancels a letter against its inverse, so the
+    chain equals the product in F whatever its inputs, and a chain that
+    spells the reduced w proves the product is w.  The parts are
+    reduced (see _factor_options), so a sound witness always passes.
     Returns (product or None, least noise seen).
     """
+    mul2 = words.mul2  # see area_bounded
     forms = tables.forms
-    opts = _finishing_moves(v_end, tables)
+    last_rows = (
+        _factor_options(u, s, t, forms) for u, s in _finishing_moves(v_end, tables)
+    )
     bound = m * pres.max_relator_length + len(w)
     best_seen = None
     budget = [_PATH_CAP]
     for head in _paths_to(v_end, parents, budget):
         budget[0] -= 1
-        for u_last, s_last in opts:
-            # build per-factor option rows in product order
-            rows = [_factor_options(prev[:k], s, t, forms) for prev, k, s in head]
-            rows.append(_factor_options(u_last, s_last, t, forms))
-            noise, factors = _best_noise_assignment(rows)
+        # per-factor option rows in product order, the finishing move's last
+        rows = [_factor_options(prev[:k], s, t, forms) for prev, k, s in head]
+        seen = []
+        for last in last_rows:
+            seen.append(last)
+            noise, factors = _best_noise_assignment(rows + [last])
             if best_seen is None or noise < best_seen:
                 best_seen = noise
             if noise <= bound:
-                prod = VanKampenProduct(factors)
-                got = evaluate_vk_product(prod, pres)
+                got = ""
+                for theta, r in factors:
+                    got = mul2(mul2(mul2(got, inverse(theta)), r), theta)
                 if got != w:
                     raise AssertionError(
                         f"witness evaluates to {got!r}, expected {w!r}"
                     )
-                return prod, noise
+                return VanKampenProduct(factors), noise
+        last_rows = seen
     return None, best_seen
 
 

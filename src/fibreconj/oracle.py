@@ -508,14 +508,15 @@ def check_decision(dec: Decision, w: str, pres: Presentation) -> bool:
 
     Each case matches one whole certificate shape together with the
     verdict it may back; any other decision is rejected, and so is
-    every decision about a word outside the generators.  A residue
-    vector must hold ints proper, not bools.
+    every decision about a word outside the generators.  An Unknown
+    passes only as ("budget", reason), the shape the engines give it.
+    A residue vector must hold ints proper, not bools.
     """
     if not _spelled_in(pres, w):
         return False
     w = free_reduce(w)
     match dec:
-        case Decision(Verdict.UNKNOWN):
+        case Decision(Verdict.UNKNOWN, ("budget", str())):
             return True
         case Decision(Verdict.YES | Verdict.NO, ("abelian", tuple(residues))) if (
             _int_vector(residues)
@@ -550,6 +551,7 @@ def check_power_decision(pd: PowerDecision, w: str, u: str, pres: Presentation) 
     As in check_decision, each case matches one whole certificate shape
     together with the verdict it may back; any other decision is rejected,
     and so is every decision about words outside the generators.  An
+    Unknown passes only with exponent None and ("budget", reason).  An
     exponent, and every entry of a coordinate vector, must be an int
     proper: True == 1, but a bool is no exponent.
     """
@@ -558,7 +560,7 @@ def check_power_decision(pd: PowerDecision, w: str, u: str, pres: Presentation) 
     w = free_reduce(w)
     u = free_reduce(u)
     match pd:
-        case PowerDecision(Verdict.UNKNOWN):
+        case PowerDecision(Verdict.UNKNOWN, None, ("budget", str())):
             return True
         case PowerDecision(
             Verdict.YES, int(p), ("power", Decision(Verdict.YES) as inner)

@@ -162,32 +162,73 @@ def test_area_contour_restart(monkeypatch):
     tables = area._tables(ZA3)
     expanded = []
     bounds = area._bounds
+    popped = []
+    pop = area.heappop
 
     def spy(v, *args):
         expanded.append(v)
         return bounds(v, *args)
 
+    def pop_spy(heap):
+        entry = pop(heap)
+        popped.append(entry[3])
+        return entry
+
     monkeypatch.setattr(area, "_bounds", spy)
+    monkeypatch.setattr(area, "heappop", pop_spy)
     for w, m in (("AABBAbb", 3), ("BaabbAAB", 4)):
-        h0 = max(area._bounds(w, tables, "ab")[0], area._core_bound(w, tables.forms))
+        h0 = max(bounds(w, tables, "ab")[0], area._core_bound(w, tables.forms))
         assert h0 == 2
         expanded.clear()
+        popped.clear()
         res = area_bounded(w, None, ZA3)
-        # one bound of the root, then one pop of it per contour: on the
-        # first contour it has no child under the contour
-        assert expanded.count(w) == 3
+        # one pop of the root per contour: on the first contour it has no
+        # child under the contour, so it pops once there; its bounds are
+        # computed once for both
+        assert popped.count(w) == 2
+        assert expanded.count(w) == 1
         assert res.value == brute_area(w, ZA3, max_moves=m) == m, w
         _check_witness(w, res, ZA3)
+        # the first contour alone builds the root only
+        first = area_bounded(w, 2, ZA3)
+        assert first.value is None and first.bound_exhausted and first.states == 1
         below = area_bounded(w, m - 1, ZA3)
         assert below.value is None and below.bound_exhausted
-        assert 0 < below.states < res.states
+        assert first.states <= below.states < res.states
 
 
-def _eager_area(w, pres, state_budget=100_000):
-    """area_bounded(w, None, pres) with every child under the contour built at once.
+def _reference_witness(w, t, m, v_end, parents, tables, pres):
+    """_assemble_witness with every finishing move built up front.
 
-    The first contour expands a popped state whole, as the restart does,
-    so it builds every sibling on the path it walks.
+    The accepted witness is checked by evaluate_vk_product, which
+    reduces the whole product.
+    """
+    opts = []
+    for k in range(len(v_end) + 1):
+        s = inverse(mul(v_end[k:], v_end[:k]))
+        if s in tables.forms:
+            opts.append((v_end[:k], s))
+    bound = m * pres.max_relator_length + len(w)
+    budget = [area._PATH_CAP]
+    for head in area._paths_to(v_end, parents, budget):
+        budget[0] -= 1
+        for u_last, s_last in opts:
+            rows = [area._factor_options(prev[:k], s, t, tables.forms) for prev, k, s in head]
+            rows.append(area._factor_options(u_last, s_last, t, tables.forms))
+            noise, factors = area._best_noise_assignment(rows)
+            if noise <= bound:
+                prod = VanKampenProduct(factors)
+                assert evaluate_vk_product(prod, pres) == w
+                return prod
+    return None
+
+
+def _reference_area(w, pres, lazy=True, state_budget=100_000):
+    """area_bounded(w, None, pres) that bounds every state each time it pops.
+
+    With lazy=False the first contour expands a popped state whole, as
+    the restart does, so it builds every sibling on the path it walks.
+    Witnesses come from _reference_witness.
     """
     w = free_reduce(w)
     if w == "":
@@ -198,18 +239,20 @@ def _eager_area(w, pres, state_budget=100_000):
         return area.AreaResult(None, None, True)
     core, t = cyclic_reduce(w)
     h0 = max(area._bounds(core, tables, gens)[0], area._core_bound(core, forms))
+    n = len(strings)
     states = 0
     for contour in sorted({h0, 10_000}):
+        one_child = lazy and contour == h0
         dist = {core: 0}
         parents = {core: []}
-        heap = [(h0, 0, 0, core)]
+        heap = [(h0, 0, 0, core, 0)]
         seq = 1
         m = None
         tried = 0
         while heap:
             if state_budget is not None and states + len(dist) > state_budget:
                 return area.AreaResult(None, None, False, states + len(dist), True)
-            f, neg_g, _, v = heappop(heap)
+            f, neg_g, order, v, start = heappop(heap)
             g = -neg_g
             if dist[v] != g:
                 continue
@@ -219,31 +262,35 @@ def _eager_area(w, pres, state_budget=100_000):
                 m = f
                 if tried < area._FINISHER_CAP:
                     tried += 1
-                    prod, _ = area._assemble_witness(w, t, m, v, parents, tables, pres)
+                    prod = _reference_witness(w, t, m, v, parents, tables, pres)
                     if prod is not None:
                         return area.AreaResult(m, prod, False, states + len(dist))
                 continue
             g1 = g + 1
             bound = area._bounds(v, tables, gens)[1]
-            for k in range(len(v) + 1):
-                for s in strings:
-                    h = bound(k, s)
-                    if g1 + h > contour:
-                        continue
-                    child = mul2(mul2(v[:k], s), v[k:])
-                    d = dist.get(child)
-                    if d is not None and d <= g1:
-                        if d == g1 and len(parents[child]) < area._PARENT_CAP:
-                            parents[child].append((v, k, s))
-                        continue
-                    if h < 2:
-                        h = area._core_bound(child, forms)
-                    if g1 + h > contour:
-                        continue
-                    dist[child] = g1
-                    parents[child] = [(v, k, s)]
-                    heappush(heap, (g1 + h, -g1, seq, child))
-                    seq += 1
+            candidates = [(k, j) for k in range(len(v) + 1) for j in range(n)]
+            for k, j in candidates[start:]:
+                s = strings[j]
+                h = bound(k, s)
+                if g1 + h > contour:
+                    continue
+                child = mul2(mul2(v[:k], s), v[k:])
+                d = dist.get(child)
+                if d is not None and d <= g1:
+                    if d == g1 and len(parents[child]) < area._PARENT_CAP:
+                        parents[child].append((v, k, s))
+                    continue
+                if h < 2:
+                    h = area._core_bound(child, forms)
+                if g1 + h > contour:
+                    continue
+                dist[child] = g1
+                parents[child] = [(v, k, s)]
+                heappush(heap, (g1 + h, -g1, seq, child, 0))
+                seq += 1
+                if one_child:
+                    heappush(heap, (f, neg_g, order, v, k * n + j + 1))
+                    break
         assert m is None
         states += len(dist)
     return area.AreaResult(None, None, True, states=states)
@@ -262,23 +309,53 @@ def _relator_products(pres, count, rng):
     return out
 
 
-def test_lazy_first_contour_matches_eager_expansion():
-    # building one child per pop on the first contour changes neither the
-    # area nor the witness, and never builds more states
+def _differential_cases():
     cases = [(Z2, w) for w in reduced_words("ab", 10)
              if w and exponent_vector(w, "ab") == (0, 0)]
     rng = random.Random(17)
     for pres in (G2, ZA3, Z):
         cases += [(pres, w) for w in _relator_products(pres, 150, rng)]
     assert len(cases) == 3050
+    return cases
+
+
+def test_lazy_first_contour_matches_eager_expansion():
+    # building one child per pop on the first contour changes neither the
+    # area nor the witness, and never builds more states
     fewer = 0
-    for pres, w in cases:
-        got, want = area_bounded(w, None, pres), _eager_area(w, pres)
+    for pres, w in _differential_cases():
+        got, want = area_bounded(w, None, pres), _reference_area(w, pres, lazy=False)
         assert got.value == want.value, (pres, w)
         assert got.witness.factors == want.witness.factors, (pres, w)
         assert got.states <= want.states, (pres, w)
         fewer += got.states < want.states
     assert fewer > 0
+
+
+def test_area_matches_rebounding_reference():
+    # reusing each state's bound, building finishing moves one at a time
+    # and checking the witness at the seams change no area, witness or
+    # state count
+    for pres, w in _differential_cases():
+        got, want = area_bounded(w, None, pres), _reference_area(w, pres)
+        assert got.value == want.value, (pres, w)
+        assert got.witness.factors == want.witness.factors, (pres, w)
+        assert got.states == want.states, (pres, w)
+
+
+def test_corrupt_witness_fails_its_check(monkeypatch):
+    # a witness that meets the noise bound but does not spell w raises
+    best = area._best_noise_assignment
+
+    def corrupt(rows):
+        noise, factors = best(rows)
+        theta, r = factors[0]
+        return noise, ((theta, inverse(r)),) + factors[1:]
+
+    monkeypatch.setattr(area, "_best_noise_assignment", corrupt)
+    for pres, w in ((Z2, "aabbAABB"), (Z2, "abAB"), (ZA3, "AABBAbb")):
+        with pytest.raises(AssertionError, match="witness evaluates to"):
+            area_bounded(w, None, pres)
 
 
 def _check_witness(w, res, pres):

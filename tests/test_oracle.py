@@ -638,6 +638,29 @@ def test_forged_well_formed_certificates_are_rejected():
     assert not check_decision(Decision(Verdict.NO, ("dehn", (), "abAB")), "abAB", Z2)
 
 
+def test_forged_unknowns_are_rejected():
+    # an Unknown asserts nothing, but it passes only in the shape the
+    # engines give it: ("budget", reason), with exponent None for a power
+    unknown = Verdict.UNKNOWN
+    assert not check_decision(Decision(unknown, "junk"), "a", Z2)
+    assert not check_power_decision(PowerDecision(unknown, 5, None), "a", "b", Z2)
+    assert not check_power_decision(PowerDecision(unknown, True, ("x",)), "a", "b", Z2)
+    for cert in (None, ("budget",), ("budget", 5), ("budget", "", "x"), ("dehn", (), "")):
+        assert not check_decision(Decision(unknown, cert), "a", Z2), cert
+        assert not check_power_decision(PowerDecision(unknown, None, cert), "a", "b", Z2), cert
+    assert not check_power_decision(PowerDecision(unknown, 0, ("budget", "")), "a", "b", Z2)
+    # engine-made Unknowns still pass
+    s = make_strategy(G2, "search", 50)
+    made = [(wp_decide("acAC", G2, s), ("acAC",))]
+    made += [(power_decide(w, "a", G2, s), (w, "a")) for w in ("ac", "acAC")]
+    made.append((Decision(unknown, ("budget", "")), ("a",)))
+    made.append((PowerDecision(unknown, None, ("budget", "")), ("a", "b")))
+    for dec, ws in made:
+        assert dec.unknown and dec.certificate[0] == "budget", dec
+        check = check_decision if isinstance(dec, Decision) else check_power_decision
+        assert check(dec, *ws, G2), dec
+
+
 def test_bool_exponents_are_rejected():
     # True == 1, so each forgery below certifies a true fact, but a bool is
     # no exponent, as a bool is no step position in a Dehn trace
