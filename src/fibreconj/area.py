@@ -301,8 +301,6 @@ def _finishing_moves(v: str, tables: _Tables):
                 yield v[:k], s
 
 
-_PARENT_CAP = 4
-_PATH_CAP = 256
 _FINISHER_CAP = 16
 
 
@@ -339,18 +337,22 @@ def area_bounded(
     f varies, and the later children of a lazy state would pop out of
     A* order.  Any contour at or above m pops the states of f <= m in
     the same order, and none past them, so the contours do not change
-    the area.  Nor do they change the first path that the witness
-    tries: only the routes to a state that an unfinished scan has not
-    reached yet are missing when a finisher pops.  One restart, not a
-    contour raised step by step, keeps a search that never finishes (w
-    nontrivial) at the cost of one capped search plus the first
-    contour: a low contour builds few children per expansion, so
-    stepping would spend far more expansions on the same state budget.
+    the area.  Nor do they change the first route to a state, which
+    each state keeps as its one parent: the lazy walk only lacks routes
+    that an unfinished scan has not reached yet, and they come later.
+    One restart, not a contour raised step by step, keeps a search that
+    never finishes (w nontrivial) at the cost of one capped search plus
+    the first contour: a low contour builds few children per expansion,
+    so stepping would spend far more expansions on the same state
+    budget.
     The root's bounds are computed once and give h0 and its children's
     bounds on both contours.
-    Every conjugator of the witness is right-multiplied by t; the
-    witness must meet the noise bound m*L + |w|, and states with f = m
-    are popped until one does; _assemble_witness checks that it spells w.
+    Every conjugator of the witness is right-multiplied by t.  The
+    witness comes from the parents' path to a finisher (see
+    _assemble_witness) and should meet the noise bound m*L + |w|:
+    finishers with f = m are popped until one gives such a witness, up
+    to _FINISHER_CAP of them; if none does, the least-noise one is
+    returned.
     maxM = None searches without an area cap.  The state budget counts
     the states of every contour together; it is checked before every
     pop and turns an oversized search into a budget_exhausted result,
@@ -393,7 +395,8 @@ def area_bounded(
         # state builds one child, then waits for its next candidate
         lazy = contour == h0
         dist = {core: 0}
-        parents: dict[str, list[tuple[str, int, str]]] = {core: []}
+        # each state's first route: (previous state, k, s), None at the core
+        parent: dict[str, tuple[str, int, str] | None] = {core: None}
         # (f, -g, seq, state, resume): resume is 0 for a state not yet
         # expanded, else (index k * n + j of its next candidate
         # (k, strings[j]), its child bound), so no state is bounded twice
@@ -401,7 +404,7 @@ def area_bounded(
         seq = 1
         m = None
         tried = 0
-        best_noise = None
+        best = None  # least-noise (product, noise) of the finishers tried
         while heap:
             if state_budget is not None and states + len(dist) > state_budget:
                 return AreaResult(
@@ -416,12 +419,13 @@ def area_bounded(
             if f == g + 1:
                 # one move finishes v, and no open state has smaller f
                 m = f
-                if tried < _FINISHER_CAP:
-                    tried += 1
-                    prod, noise = _assemble_witness(w, t, m, v, parents, tables, pres)
-                    if prod is not None:
-                        return AreaResult(m, prod, False, states=states + len(dist))
-                    best_noise = noise if best_noise is None else min(best_noise, noise)
+                limit = m * pres.max_relator_length + len(w)
+                prod, noise = _assemble_witness(w, t, limit, v, parent, tables)
+                if best is None or noise < best[1]:
+                    best = prod, noise
+                tried += 1
+                if noise <= limit or tried == _FINISHER_CAP:
+                    break
                 continue
             g1 = g + 1
             if resume:
@@ -441,17 +445,13 @@ def area_bounded(
                     child = mul2(mul2(head, s), tail)
                     d = dist.get(child)
                     if d is not None and d <= g1:
-                        if d == g1:
-                            plist = parents[child]
-                            if len(plist) < _PARENT_CAP:
-                                plist.append((v, k, s))
                         continue
                     if h < 2:
                         h = _core_bound(child, forms)
                     if g1 + h > contour:
                         continue
                     dist[child] = g1
-                    parents[child] = [(v, k, s)]
+                    parent[child] = (v, k, s)
                     heappush(heap, (g1 + h, -g1, seq, child, 0))
                     seq += 1
                     if lazy:
@@ -464,26 +464,9 @@ def area_bounded(
                     continue
                 break
         if m is not None:
-            bound = m * pres.max_relator_length + len(w)
-            raise AssertionError(
-                f"no noise-compliant witness found: best noise {best_noise}, bound {bound}"
-            )
+            return AreaResult(m, best[0], False, states=states + len(dist))
         states += len(dist)
     return AreaResult(None, None, True, states=states)
-
-
-def _paths_to(node: str, parents, budget: list[int]):
-    """Yield move lists leading from the search root to node, newest move last."""
-    if not parents[node]:
-        yield []
-        return
-    for prev, k, s in parents[node]:
-        if budget[0] <= 0:
-            return
-        for head in _paths_to(prev, parents, budget):
-            if budget[0] <= 0:
-                return
-            yield head + [(prev, k, s)]
 
 
 def _factor_options(u: str, s: str, t: str, forms) -> list[tuple[str, str]]:
@@ -540,54 +523,46 @@ def _best_noise_assignment(option_rows: list[list[tuple[str, str]]]):
     return best, factors
 
 
-def _assemble_witness(w, t, m, v_end, parents, tables, pres):
-    """Turn shortest insertion paths into a noise-compliant product for w.
+def _assemble_witness(w, t, limit, v_end, parent, tables):
+    """Turn the search tree's path to v_end into a product for w.
 
-    The paths run from the cyclic core c of w = t^-1 * c * t through
-    v_end, which one move finishes, to the empty word.  Each path yields
-    one factor per move; per-factor conjugator choices are optimized by
-    dynamic programming, and paths are tried in deterministic order, at
-    most _PATH_CAP of them, until one meets the noise bound m*L + |w|.
-    A path's rows for its earlier moves are built once, and the
-    finishing moves of v_end are built one at a time on the first path
-    (then kept for the others), so a first option that meets the bound
-    costs one rotation of v_end.
-    The accepted product is checked to spell w with seam-only products
-    of its parts: mul2 only cancels a letter against its inverse, so the
-    chain equals the product in F whatever its inputs, and a chain that
+    The path runs along first routes from the cyclic core c of
+    w = t^-1 * c * t to v_end, which one move finishes, and yields one
+    factor per move.  The finishing moves of v_end are tried in order,
+    built one at a time, with per-factor conjugator choices optimized by
+    dynamic programming; the first product whose noise is at most limit
+    is taken, and when none is, the least-noise one.
+    The product is checked to spell w with seam-only products of its
+    parts: mul2 only cancels a letter against its inverse, so the chain
+    equals the product in F whatever its inputs, and a chain that
     spells the reduced w proves the product is w.  The parts are
     reduced (see _factor_options), so a sound witness always passes.
-    Returns (product or None, least noise seen).
+    Returns (product, noise).
     """
     mul2 = words.mul2  # see area_bounded
     forms = tables.forms
-    last_rows = (
-        _factor_options(u, s, t, forms) for u, s in _finishing_moves(v_end, tables)
-    )
-    bound = m * pres.max_relator_length + len(w)
-    best_seen = None
-    budget = [_PATH_CAP]
-    for head in _paths_to(v_end, parents, budget):
-        budget[0] -= 1
-        # per-factor option rows in product order, the finishing move's last
-        rows = [_factor_options(prev[:k], s, t, forms) for prev, k, s in head]
-        seen = []
-        for last in last_rows:
-            seen.append(last)
-            noise, factors = _best_noise_assignment(rows + [last])
-            if best_seen is None or noise < best_seen:
-                best_seen = noise
-            if noise <= bound:
-                got = ""
-                for theta, r in factors:
-                    got = mul2(mul2(mul2(got, inverse(theta)), r), theta)
-                if got != w:
-                    raise AssertionError(
-                        f"witness evaluates to {got!r}, expected {w!r}"
-                    )
-                return VanKampenProduct(factors), noise
-        last_rows = seen
-    return None, best_seen
+    # per-factor option rows in product order, the finishing move's last
+    rows = []
+    v = v_end
+    while parent[v] is not None:
+        prev, k, s = parent[v]
+        rows.append(_factor_options(prev[:k], s, t, forms))
+        v = prev
+    rows.reverse()
+    best = None
+    for u, s in _finishing_moves(v_end, tables):
+        noise, factors = _best_noise_assignment(rows + [_factor_options(u, s, t, forms)])
+        if best is None or noise < best[0]:
+            best = noise, factors
+        if noise <= limit:
+            break
+    noise, factors = best
+    got = ""
+    for theta, r in factors:
+        got = mul2(mul2(mul2(got, inverse(theta)), r), theta)
+    if got != w:
+        raise AssertionError(f"witness evaluates to {got!r}, expected {w!r}")
+    return VanKampenProduct(factors), noise
 
 
 def _class_key(w: str) -> str:

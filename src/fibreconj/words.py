@@ -96,11 +96,6 @@ def power(w: str, p: int) -> str:
     return free_reduce(base * abs(p))
 
 
-def conjugate(w: str, g: str) -> str:
-    """g^-1 w g, freely reduced."""
-    return free_reduce(inverse(g) + w + g)
-
-
 def rotate(w: str, k: int) -> str:
     """Cyclic rotation moving the first k letters to the end."""
     if not w:

@@ -17,7 +17,13 @@ from fibreconj.area import (
 )
 from fibreconj.brute import brute_area
 from fibreconj.decisions import OracleUnknown
-from fibreconj.oracle import auto_strategy, make_strategy, power_decide, wp_decide
+from fibreconj.oracle import (
+    auto_strategy,
+    check_decision,
+    make_strategy,
+    power_decide,
+    wp_decide,
+)
 from fibreconj.words import (
     cyclic_reduce,
     exponent_vector,
@@ -197,11 +203,32 @@ def test_area_contour_restart(monkeypatch):
         assert first.states <= below.states < res.states
 
 
-def _reference_witness(w, t, m, v_end, parents, tables, pres):
-    """_assemble_witness with every finishing move built up front.
+# the older multi-path witness search: up to _PARENT_CAP parents per
+# state, and up to _PATH_CAP insertion paths tried per finisher
+_PARENT_CAP = 4
+_PATH_CAP = 256
 
-    The accepted witness is checked by evaluate_vk_product, which
-    reduces the whole product.
+
+def _paths_to(node, parents, budget):
+    """Yield move lists leading from the search root to node, newest move last."""
+    if not parents[node]:
+        yield []
+        return
+    for prev, k, s in parents[node]:
+        if budget[0] <= 0:
+            return
+        for head in _paths_to(prev, parents, budget):
+            if budget[0] <= 0:
+                return
+            yield head + [(prev, k, s)]
+
+
+def _reference_witness(w, t, m, v_end, parents, tables, pres):
+    """The multi-path _assemble_witness, every finishing move built up front.
+
+    Paths to v_end are tried in order, and each path's finishing moves,
+    until a product meets the noise bound.  The accepted witness is
+    checked by evaluate_vk_product, which reduces the whole product.
     """
     opts = []
     for k in range(len(v_end) + 1):
@@ -209,8 +236,8 @@ def _reference_witness(w, t, m, v_end, parents, tables, pres):
         if s in tables.forms:
             opts.append((v_end[:k], s))
     bound = m * pres.max_relator_length + len(w)
-    budget = [area._PATH_CAP]
-    for head in area._paths_to(v_end, parents, budget):
+    budget = [_PATH_CAP]
+    for head in _paths_to(v_end, parents, budget):
         budget[0] -= 1
         for u_last, s_last in opts:
             rows = [area._factor_options(prev[:k], s, t, tables.forms) for prev, k, s in head]
@@ -226,7 +253,7 @@ def _reference_witness(w, t, m, v_end, parents, tables, pres):
 def _reference_area(w, pres, lazy=True, state_budget=100_000):
     """area_bounded(w, None, pres) that bounds every state each time it pops.
 
-    With lazy=False the first contour expands a popped state whole, as
+    It keeps up to _PARENT_CAP parents per state.  With lazy=False the first contour expands a popped state whole, as
     the restart does, so it builds every sibling on the path it walks.
     Witnesses come from _reference_witness.
     """
@@ -277,7 +304,7 @@ def _reference_area(w, pres, lazy=True, state_budget=100_000):
                 child = mul2(mul2(v[:k], s), v[k:])
                 d = dist.get(child)
                 if d is not None and d <= g1:
-                    if d == g1 and len(parents[child]) < area._PARENT_CAP:
+                    if d == g1 and len(parents[child]) < _PARENT_CAP:
                         parents[child].append((v, k, s))
                     continue
                 if h < 2:
@@ -430,14 +457,25 @@ def test_area_cyclic_core():
 
 
 def test_area_noise_regression_over_z():
-    # with L = 1 the noise bound m + |w| leaves little slack, and
-    # shortest insertion paths can miss it (for the last two words, the
-    # first path found does); the search keeps popping states of the
-    # optimal depth until a witness meets the bound
-    for w, m in (("AAAbababaB", 4), ("abAAABaBBa", 4), ("aaBBBABBAb", 6)):
+    # with L = 1 the noise bound m + |w| leaves little slack, and the
+    # path to a finisher can miss it; the search keeps popping finishers
+    # of the optimal depth until a witness meets the bound.  The last
+    # three words of the loop get another witness from one parent per
+    # state than from several parents
+    for w, m in (("AAAbababaB", 4), ("abAAABaBBa", 4), ("aaBBBABBAb", 6),
+                 ("aabAbbABB", 5), ("aaBABBAbb", 5), ("abbbABBBB", 7)):
         res = area_bounded(w, None, Z)
         assert res.value == m
         _check_witness(w, res, Z)
+    # no finisher of this word meets the bound 4 + 28 = 32, so the
+    # least-noise witness is returned, still a product for w
+    w = "aababABAAbABaBBaaBAAbABABaba"
+    res = area_bounded(w, None, Z)
+    assert res.value == brute_area(w, Z, max_moves=4) == 4
+    assert evaluate_vk_product(res.witness, Z) == w
+    assert res.witness.noise == 34
+    dec = wp_decide(w, Z, make_strategy(Z, "search"))
+    assert dec.yes and check_decision(dec, w, Z)
 
 
 def test_area_matches_brute_force_small():

@@ -136,6 +136,16 @@ def test_area_value_and_witness(capsys):
     assert code == 1 and out == ["NO"]
 
 
+def test_area_without_a_noise_compliant_witness(capsys):
+    # no finisher of this trivial word over Z meets the noise bound, and
+    # area search still returns its least-noise witness
+    w = "aababABAAbABaBBaaBAAbABABaba"
+    code, out, _ = run(capsys, ["area", "-p", Z, "-w", w])
+    assert code == 0 and out == [f"AREA {w} = 4"]
+    code, out, _ = run(capsys, ["wp", "-p", Z, "--oracle", "search", "-w", w])
+    assert code == 0 and out == ["YES"]
+
+
 def test_reldehn_line(capsys):
     code, out, _ = run(capsys, ["reldehn", "-p", Z, "-n", "4"])
     assert code == 0 and out == ["DELTAC 4 = 12"]

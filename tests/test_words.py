@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from fibreconj.words import (
     RootDecomposition,
-    conjugate,
     cyclic_core,
     cyclic_reduce,
     exponent_vector,
@@ -71,12 +70,10 @@ def test_mul2_cancels_at_the_seam(a, b):
     assert ab == a[: len(a) - cut] + b[cut:]
 
 
-def test_power_and_conjugate():
+def test_power():
     assert power("ab", 3) == "ababab"
     assert power("ab", -2) == "BABA"
     assert power("ab", 0) == ""
-    assert conjugate("a", "b") == "Bab"
-    assert mul(conjugate("a", "b"), conjugate("A", "b")) == ""
 
 
 def test_cyclic_reduce_examples():
