@@ -14,6 +14,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
+from os.path import commonprefix
 
 from .abelian import AbelianModel, abelian_model, minimal_power, power_solutions
 from .area import Presentation, VanKampenProduct, area_bounded, evaluate_vk_product
@@ -170,48 +173,36 @@ def check_c16(pres: Presentation) -> bool:
 
 @lru_cache(maxsize=64)
 def _rewrite_rules(pres: Presentation) -> tuple[re.Pattern, dict]:
-    """The rewritable prefixes: (pattern that finds them, prefix -> (mark, replacement)).
+    """The rewrite rules: (pattern that finds a head, head -> (mark, s, inverse(s))).
 
-    The index maps every prefix s[:j] longer than half of a marked
-    rotation s to the mark of s and the replacement inverse(s[j:]).  The
-    pattern is a trie over the heads s[:h], h = len(s) // 2 + 1, of the
-    marked rotations: it branches on one letter at a time, so at each
-    position the regular expression engine follows one branch instead
-    of trying every rotation.  Each head is followed by the further
-    letters of its rotation as nested greedy optionals, so the match is
-    the longest prefix of s that fits, also one cut short by the end of
-    the word.
+    One entry per marked rotation s, keyed by its head s[:len(s) // 2 + 1],
+    the shortest prefix longer than half of s.  The pattern (_trie_regex)
+    has about the sum of |r|^2 characters over the relators r.
 
     Only built for C'(1/6) presentations.  There a common prefix of two
     distinct marked rotations is a piece, shorter than a sixth of either
-    relator, so no head is a prefix of another and at most one rotation
-    matches at any position: the trie finds the same match as one
-    alternative per rotation would.  Without relators the pattern
-    matches nothing.
+    relator, so no head is a prefix of another and at most one head
+    matches at any position.  Without relators the pattern matches nothing.
     """
-    index = {}
-    trie: dict = {}
+    rules = {}
     for s, mark in _marked_rotations(pres):
-        h = len(s) // 2 + 1
-        for j in range(h, len(s) + 1):
-            index[s[:j]] = (mark, inverse(s[j:]))
-        tail = ""
-        for c in reversed(s[h:]):
-            tail = f"(?:{c}{tail})?"
-        node = trie
-        for c in s[:h]:
-            node = node.setdefault(c, {})
-        node[""] = tail
-    return re.compile(_trie_regex(trie) if trie else "(?!)"), index
+        rules[s[: len(s) // 2 + 1]] = (mark, s, inverse(s))
+    return re.compile(_trie_regex(sorted(rules)) if rules else "(?!)"), rules
 
 
-def _trie_regex(node: dict) -> str:
-    """Regular expression for a trie node: one branch per next letter.
+def _trie_regex(heads: list[str], depth: int = 0) -> str:
+    """Regular expression for sorted heads that agree on their first depth letters.
 
-    The key "" ends a head; its value is the head's tail pattern.
+    It spells their common prefix once and branches on the next letter,
+    so the engine follows one branch per letter instead of trying every
+    head.  Heads that agree up to a branch point share a piece, so the
+    recursion is at most the longest piece plus one deep.
     """
-    branches = [sub if c == "" else c + _trie_regex(sub) for c, sub in node.items()]
-    return branches[0] if len(branches) == 1 else "(?:" + "|".join(branches) + ")"
+    if len(heads) == 1:
+        return heads[0][depth:]
+    k = len(commonprefix((heads[0], heads[-1])))  # that of all the sorted heads
+    branches = [_trie_regex(list(g), k) for _, g in groupby(heads, itemgetter(k))]
+    return heads[0][depth:k] + "(?:" + "|".join(branches) + ")"
 
 
 def dehn_greedy_trace(w: str, pres: Presentation):
@@ -227,10 +218,11 @@ def dehn_greedy_trace(w: str, pres: Presentation):
     Uniqueness: a common prefix of two distinct marked rotations is a
     piece, and under C'(1/6) a piece is shorter than a sixth of its
     relator.  So a prefix longer than half of a marked rotation belongs
-    to that rotation alone, and at any position at most one branch of
-    the compiled trie (_rewrite_rules) matches.  The leftmost match of
-    the pattern is therefore the match a scan over all positions and
-    rotations finds first, and its greedy optionals make it the longest.
+    to that rotation alone, and at any position at most one head of
+    _rewrite_rules matches.  The leftmost match of the pattern is the
+    first a scan over all positions and rotations finds, and counting j
+    down from len(s) until s[:j] fits there gives the longest match,
+    also one cut short by the end of the word.
 
     Seams: the word and the inserted replacement are both reduced, so
     letters could cancel only where the replacement meets its
@@ -252,27 +244,32 @@ def dehn_greedy_trace(w: str, pres: Presentation):
     Cost: every step shortens the word, and the search backs up at most
     L - 1 letters plus those cancelled, so a whole rewrite tries the
     pattern at O(L * |w|) positions.  The regular expression engine
-    does that in C and follows one trie branch per letter.  Each step
-    copies the word once.  w itself is freely reduced here, once; this
-    is the only reduction a dehn wp_decide makes.
+    does that in C and follows one branch of the heads per letter; a
+    step then compares at most L / 2 prefixes of s and copies the word
+    once.  w itself is freely reduced here,
+    once; this is the only reduction a dehn wp_decide makes.
     """
     if not check_c16(pres):
         raise ValueError("greedy rewriting requires the C'(1/6) condition")
-    pattern, index = _rewrite_rules(pres)
+    pattern, rules = _rewrite_rules(pres)
     longest = max(map(len, pres.relators), default=0)
     w = free_reduce(w)
     steps: list[tuple[int, tuple[int, int, int], int]] = []
     start = 0
     while (m := pattern.search(w, start)) is not None:
-        i, e = m.span()
-        mark, piece = index[m.group()]
-        steps.append((i, mark, e - i))
-        if not piece:
+        i = m.start()
+        mark, s, s_inv = rules[m.group()]
+        j = len(s)
+        while not w.startswith(s[:j], i):  # stops by the head, which matched
+            j -= 1
+        steps.append((i, mark, j))
+        e = i + j
+        if j == len(s):
             n = len(w)
             while i > 0 and e < n and w[i - 1] == w[e].swapcase():
                 i -= 1
                 e += 1
-        w = w[:i] + piece + w[e:]
+        w = w[:i] + s_inv[: len(s) - j] + w[e:]  # inverse(s[j:])
         start = max(0, i - longest + 1)
     return w, tuple(steps)
 
@@ -301,8 +298,9 @@ def replay_dehn_trace(w: str, steps, pres: Presentation) -> str:
     marks = _rotation_by_mark(pres)
     w = free_reduce(w)
     for pos, mark, j in steps:
-        if not (type(pos) is int and 0 <= pos):  # w[-1:] and w[True:] would slice too
-            raise ValueError(f"step position {pos!r} is no index into the word")
+        # w[-1:] and w[True:] would slice too, and (False, True, 0) == (0, 1, 0)
+        if not (type(pos) is int and 0 <= pos and type(j) is int and _int_vector(mark)):
+            raise ValueError(f"step {(pos, mark, j)!r} is no index, mark and length")
         s = marks[mark]
         if not (len(s) // 2 < j <= len(s)):
             raise ValueError(f"step length {j} out of range for {s!r}")
@@ -510,7 +508,7 @@ def check_decision(dec: Decision, w: str, pres: Presentation) -> bool:
     verdict it may back; any other decision is rejected, and so is
     every decision about a word outside the generators.  An Unknown
     passes only as ("budget", reason), the shape the engines give it.
-    A residue vector must hold ints proper, not bools.
+    A residue vector and a Dehn step must hold ints proper, not bools.
     """
     if not _spelled_in(pres, w):
         return False
@@ -569,7 +567,7 @@ def check_power_decision(pd: PowerDecision, w: str, u: str, pres: Presentation) 
         case PowerDecision(Verdict.NO, None, ("roots", None)) if not pres.relators:
             return u == "" and w != ""
         case PowerDecision(Verdict.NO, None, ("roots", tuple(roots))) if (
-            not pres.relators and w and u
+            not pres.relators and w and u and _int_vector(roots[1::2])
         ):
             rw = primitive_root(w)
             ru = primitive_root(u)

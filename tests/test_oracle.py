@@ -35,6 +35,7 @@ from fibreconj.oracle import (
 from fibreconj.words import (
     free_reduce,
     inverse,
+    is_cyclically_reduced,
     mul,
     mul2,
     power,
@@ -54,6 +55,18 @@ G2G3 = Presentation("abcdefghij", ("abABcdCD", "efEFghGHijIJ"))
 FREE = Presentation("ab", ())
 
 
+def _seeded_relator(seed: int, generators: str, n: int) -> str:
+    """The first seeded random reduced word of n letters that is cyclically reduced."""
+    rng = random.Random(seed)
+    while not is_cyclically_reduced(r := random_reduced_word(rng, generators, n)):
+        pass
+    return r
+
+
+# one relator of 32 letters: a whole-relator match ends 15 letters past its head
+LONG = Presentation("ab", (_seeded_relator(32, "ab", 32),))
+
+
 def test_certified_abelian():
     assert certified_abelian(Z)
     assert certified_abelian(Z2)
@@ -66,6 +79,7 @@ def test_certified_abelian():
 def test_check_c16():
     assert check_c16(G2)
     assert check_c16(G2G3)
+    assert check_c16(LONG)
     assert check_c16(Z)
     assert not check_c16(Z2)
     # a proper-power relator forms pieces with its own shifted copies
@@ -289,26 +303,25 @@ def _rewrite_inputs(pres: Presentation):
 # L >= 3 no match can: its first L - 1 letters were unchanged and
 # already more than half a relator
 @example((Z, "abb"))
-@given(st.sampled_from([G2, G3, G2G3]).flatmap(lambda p: st.tuples(st.just(p), _rewrite_inputs(p))))
+# the word ends seven letters past the head of the 32-letter relator
+@example((LONG, LONG.relators[0][:24]))
+@given(
+    st.sampled_from([G2, G3, G2G3, LONG]).flatmap(lambda p: st.tuples(st.just(p), _rewrite_inputs(p)))
+)
 def test_dehn_trace_matches_leftmost_rescan(case):
     pres, w = case
     assert dehn_greedy_trace(w, pres) == _leftmost_rescan(w, pres)
 
 
 def _flat_pattern(pres: Presentation) -> re.Pattern:
-    """One alternative per marked rotation s: its head, then each further letter optional."""
-    alternatives = []
-    for s, _ in _marked_rotations(pres):
-        h = len(s) // 2 + 1
-        tail = ""
-        for c in reversed(s[h:]):
-            tail = f"(?:{c}{tail})?"
-        alternatives.append(s[:h] + tail)
-    return re.compile("|".join(alternatives))
+    """One alternative per marked rotation s: its head s[:len(s) // 2 + 1]."""
+    return re.compile("|".join(s[: len(s) // 2 + 1] for s, _ in _marked_rotations(pres)))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([G2, G3, G2G3]).flatmap(lambda p: st.tuples(st.just(p), _rewrite_inputs(p))))
+@given(
+    st.sampled_from([G2, G3, G2G3, LONG]).flatmap(lambda p: st.tuples(st.just(p), _rewrite_inputs(p)))
+)
 def test_trie_pattern_matches_flat_pattern(case):
     pres, w = case
     trie, flat = _rewrite_rules(pres)[0], _flat_pattern(pres)
@@ -327,6 +340,21 @@ def test_dehn_long_relator_product():
     terminal, steps = dehn_greedy_trace(w, G2)
     assert terminal == ""
     assert replay_dehn_trace(w, steps, G2) == ""
+
+
+def test_dehn_relator_of_a_thousand_letters():
+    # one rule per marked rotation, keyed by its head; a relator this long
+    # once overflowed the recursion of re's parser
+    pres = Presentation("ab", (_seeded_relator(1000, "ab", 1000),))
+    w = _seeded_relator_product(random.Random(1000), pres, 20)
+    dec = wp_decide(w, pres, StrategySpec("dehn", exactness_claim=True))  # checks C'(1/6)
+    rules = _rewrite_rules(pres)[1]
+    marks = _marked_rotations(pres)
+    assert sorted(rules.values()) == sorted((mark, s, inverse(s)) for s, mark in marks)
+    assert all(head == s[: len(s) // 2 + 1] for head, (_, s, _) in rules.items())
+    assert dec.yes and dec.certificate[2] == ""
+    assert replay_dehn_trace(w, dec.certificate[1], pres) == ""
+    assert check_decision(dec, w, pres)
 
 
 def test_dehn_requires_c16():
@@ -686,6 +714,19 @@ def test_bool_exponents_are_rejected():
     for cw, cu, ok in (((1, 0), (0, 1), True), ((True, False), (False, True), False)):
         lattice = PowerDecision(Verdict.NO, None, ("lattice", cw, cu))
         assert check_power_decision(lattice, "a", "b", Z2) is ok, lattice
+    # (False, True, 0) == (0, 1, 0) and True == 1: bools are no Dehn step entries
+    for step, w, pres, ok in (
+        ((0, (0, 1, 0), 8), "abABcdCD", G2, True),
+        ((0, (False, True, 0), 8), "abABcdCD", G2, False),
+        ((0, (0, 1, 0), 1), "b", Z, True),
+        ((0, (0, 1, 0), True), "b", Z, False),
+    ):
+        dehn = Decision(Verdict.YES, ("dehn", (step,), ""))
+        assert check_decision(dehn, w, pres) is ok, dehn
+    # ab is no power of ba in a free group; the roots have exponents 1, not True
+    for roots, ok in ((("ab", 1, "ba", 1), True), (("ab", True, "ba", True), False)):
+        pd = PowerDecision(Verdict.NO, None, ("roots", roots))
+        assert check_power_decision(pd, "ab", "ba", FREE) is ok, pd
 
 
 def test_certificates_for_words_outside_the_generators_are_rejected():
