@@ -6,7 +6,7 @@ independent brute-force oracles for cross-checking.  The names below
 are the documented API; everything else is reached through its module.
 """
 
-from .area import Presentation, area_bounded, dehn_function
+from .area import area_bounded, dehn_function
 from .brute import brute_area, brute_p_conjugacy, brute_primitive_root
 from .decisions import Verdict
 from .oracle import (
@@ -19,6 +19,7 @@ from .oracle import (
     wp_decide,
 )
 from .perturb import PerturbConfig, power_avoid
+from .presentation import Presentation
 from .subdirect import canonical_setup, p_conjugacy, replay_trace
 from .words import exponent_vector, reduced_words
 

@@ -10,67 +10,23 @@ Dehn function and its rel-cyclics variant on desk-scale inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from heapq import heappop, heappush
-from typing import NamedTuple
 
 from . import words
 from .decisions import OracleUnknown
+from .presentation import Presentation, _Tables, _path, _winding
 from .words import (
     _split_core,
     cyclic_reduce,
     exponent_vector,
     free_reduce,
     inverse,
-    is_cyclically_reduced,
-    is_reduced,
     mul,
     power,
     reduced_words,
     rotate,
     validate_word,
 )
-
-
-@dataclass(frozen=True)
-class Presentation:
-    """Finite presentation <generators | relators> of a quotient Q.
-
-    Generators are distinct lowercase letters in declaration order.
-    Relators must be nonempty, freely and cyclically reduced words over
-    the generators.
-    """
-
-    generators: str
-    relators: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        # both fields are hashed by the per-presentation caches
-        if not isinstance(self.generators, str):
-            raise TypeError(f"generators must be a str, not {type(self.generators).__name__}")
-        if not isinstance(self.relators, tuple):
-            raise TypeError(f"relators must be a tuple, not {type(self.relators).__name__}")
-        if not self.generators:
-            raise ValueError("presentation needs at least one generator")
-        for g in self.generators:
-            if not (g.isascii() and g.isalpha() and g.islower()):
-                raise ValueError(f"generator {g!r} is not a lowercase letter")
-        if len(set(self.generators)) != len(self.generators):
-            raise ValueError(f"duplicate generator in {self.generators!r}")
-        for r in self.relators:
-            validate_word(r, self.generators)
-            if not r:
-                raise ValueError("empty relator")
-            if not is_reduced(r):
-                raise ValueError(f"relator {r!r} is not freely reduced")
-            if not is_cyclically_reduced(r):
-                raise ValueError(f"relator {r!r} is not cyclically reduced")
-
-    @property
-    def max_relator_length(self) -> int:
-        if not self.relators:
-            raise ValueError("no relators: maximal relator length undefined")
-        return max(len(r) for r in self.relators)
 
 
 @dataclass(frozen=True)
@@ -115,112 +71,6 @@ class AreaResult:
     bound_exhausted: bool
     states: int = 0
     budget_exhausted: bool = False
-
-
-# --- insertion tables ----------------------------------------------------
-#
-# The search moves insert a cyclic rotation of a relator (or inverse
-# relator) into the current word and freely reduce.  m moves from w down
-# to the empty word peel back to a product of m conjugated relators, so
-# the least number of moves equals the area.
-
-class _Tables(NamedTuple):
-    """Per-presentation search data, described in _tables."""
-
-    strings: tuple[str, ...]
-    forms: dict[str, list[tuple[str, str]]]
-    lengths: frozenset[int]
-    vectors: dict[str, tuple[int, ...]]
-    step: int
-    planes: tuple[tuple[str, str, int, dict[str, tuple[tuple[int, int, int], ...]]], ...]
-
-
-@lru_cache(maxsize=64)
-def _tables(pres: Presentation) -> _Tables:
-    """Insertable strings, factor forms and lower-bound data.
-
-    forms maps each insertable string z to the ways of writing
-    z = g^-1 * r0 * g with r0 an exact relator or inverse relator; they
-    drive the conversion of peeled moves into (theta, relator) factors.
-    vectors holds each string's exponent vector and step the largest L1
-    norm among them.  When step is 0 (every relator has zero exponent
-    sum), planes lists each generator pair (x, y) on which some relator
-    winds as (x, y, T, winding cells of each string), with T the largest
-    total |winding| of a relator there.
-    """
-    strings: list[str] = []
-    forms: dict[str, list[tuple[str, str]]] = {}
-    for r in pres.relators:
-        for base in (r, inverse(r)):
-            for t in range(len(base)):
-                z = rotate(base, t)
-                if z not in forms:
-                    forms[z] = []
-                    strings.append(z)
-                for g in (base[:t], inverse(base[t:])):
-                    if (base, g) not in forms[z]:
-                        forms[z].append((base, g))
-    lengths = frozenset(len(r) for r in pres.relators)
-    gens = pres.generators
-    vectors = {z: exponent_vector(z, gens) for z in strings}
-    step = max((sum(map(abs, vec)) for vec in vectors.values()), default=0)
-    planes = []
-    if step == 0:
-        for i, x in enumerate(gens):
-            for y in gens[i + 1:]:
-                wind = {
-                    z: tuple((cx, cy, n) for (cx, cy), n in _winding(_path(z, x, y)).items())
-                    for z in strings
-                }
-                total = max((sum(abs(n) for _, _, n in cells) for cells in wind.values()), default=0)
-                if total:
-                    planes.append((x, y, total, wind))
-    return _Tables(tuple(strings), forms, lengths, vectors, step, tuple(planes))
-
-
-def _path(w: str, x: str, y: str) -> list[tuple[int, int]]:
-    """Lattice points visited by w projected to the (x, y) plane.
-
-    x steps right, y steps up, and every other letter stays put.
-    """
-    X, Y = x.upper(), y.upper()
-    i = j = 0
-    out = [(0, 0)]
-    for c in w:
-        if c == x:
-            i += 1
-        elif c == X:
-            i -= 1
-        elif c == y:
-            j += 1
-        elif c == Y:
-            j -= 1
-        out.append((i, j))
-    return out
-
-
-def _winding(path: list[tuple[int, int]]) -> dict[tuple[int, int], int]:
-    """Nonzero winding numbers of a closed lattice path, by unit cell.
-
-    Cell (i, j) is the square with lower-left corner (i, j); its winding
-    number is the signed count of horizontal edges of column i at or
-    below height j (rightward +1, leftward -1).
-    """
-    edges: dict[int, dict[int, int]] = {}
-    for (i0, j), (i1, _) in zip(path, path[1:]):
-        if i1 != i0:
-            col = edges.setdefault(min(i0, i1), {})
-            col[j] = col.get(j, 0) + i1 - i0
-    out = {}
-    for i, col in edges.items():
-        heights = sorted(col)
-        run = 0
-        for lo, hi in zip(heights, heights[1:]):
-            run += col[lo]
-            if run:
-                for j in range(lo, hi):
-                    out[(i, j)] = run
-    return out
 
 
 def _bounds(v: str, tables: _Tables, gens: str):
@@ -370,7 +220,7 @@ def area_bounded(
     if not pres.relators or maxM == 0:
         return AreaResult(None, None, True)
 
-    tables = _tables(pres)
+    tables = pres.area_tables
     strings, forms = tables.strings, tables.forms
     gens = pres.generators
     # Every relator has zero exponent sum, so no product reaches w.

@@ -17,8 +17,8 @@ import random
 from collections import deque
 from typing import Iterator, NamedTuple
 
-from .area import Presentation
 from .oracle import StrategySpec, q_equal
+from .presentation import Presentation
 from .subdirect import PairElement, SubdirectSetup
 
 _FLIP = {c: c.swapcase() for c in "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"}

@@ -13,7 +13,7 @@ import argparse
 import random
 import sys
 
-from .area import Presentation, area_bounded, dehn_function, rel_cyclics_dehn
+from .area import area_bounded, dehn_function, rel_cyclics_dehn
 from .brute import (
     brute_area,
     brute_p_conjugacy,
@@ -30,6 +30,7 @@ from .oracle import (
     wp_decide,
 )
 from .perturb import KMaxExhausted, PerturbConfig, power_avoid
+from .presentation import Presentation
 from .subdirect import canonical_setup, conjugacy_words, p_conjugacy, p_membership, replay_trace
 from .words import (
     free_conjugator,

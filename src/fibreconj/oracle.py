@@ -11,25 +11,19 @@ presentation of a free group passes vacuously.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import groupby
-from operator import itemgetter
-from os.path import commonprefix
 
-from .abelian import AbelianModel, abelian_model, minimal_power, power_solutions
-from .area import Presentation, VanKampenProduct, area_bounded, evaluate_vk_product
+from .abelian import minimal_power, power_solutions
+from .area import VanKampenProduct, area_bounded, evaluate_vk_product
 from .decisions import Decision, PowerDecision, Verdict
+from .presentation import Presentation
 from .words import (
-    cyclic_core,
     free_reduce,
     inverse,
     mul,
     mul2,
     power,
     primitive_root,
-    rotate,
     validate_word,
     word_letters,
 )
@@ -69,7 +63,7 @@ def make_strategy(pres: Presentation, kind: str, budget: int = 1_000_000) -> Str
 
 def _exact(pres: Presentation, kind: str) -> bool:
     """The one exactness rule: abelian iff certifiably abelian, dehn always, search never."""
-    return kind == DEHN or (kind == ABELIAN and certified_abelian(pres))
+    return kind == DEHN or (kind == ABELIAN and pres.certified_abelian)
 
 
 def _check_pairing(pres: Presentation, kind: str, exact: bool) -> None:
@@ -84,70 +78,14 @@ def _check_pairing(pres: Presentation, kind: str, exact: bool) -> None:
 
 def auto_strategy(pres: Presentation, budget: int = 1_000_000) -> StrategySpec:
     """Pick the strongest strategy the presentation certifiably supports."""
-    if certified_abelian(pres):
+    if pres.certified_abelian:
         return make_strategy(pres, ABELIAN, budget)
     if check_c16(pres):
         return make_strategy(pres, DEHN, budget)
     return make_strategy(pres, SEARCH, budget)
 
 
-@lru_cache(maxsize=64)
-def certified_abelian(pres: Presentation) -> bool:
-    """True when the quotient is provably abelian by syntactic inspection.
-
-    Generators with a single-letter relator (after erasing previously
-    killed generators) die in Q; the check succeeds when at most one
-    generator survives, or when every pairwise commutator of survivors
-    appears among the erased relators up to rotation and inversion.
-    """
-    killed: set[str] = set()
-
-    def erase(r: str) -> str:
-        return free_reduce("".join(c for c in r if c.lower() not in killed))
-
-    changed = True
-    while changed:
-        changed = False
-        for r in pres.relators:
-            e = erase(r)
-            if len(e) == 1 and e.lower() not in killed:
-                killed.add(e.lower())
-                changed = True
-    effective = [g for g in pres.generators if g not in killed]
-    if len(effective) <= 1:
-        return True
-    rotset: set[str] = set()
-    for r in pres.relators:
-        e = cyclic_core(erase(r))
-        if not e:
-            continue
-        for base in (e, inverse(e)):
-            for t in range(len(base)):
-                rotset.add(rotate(base, t))
-    for i, x in enumerate(effective):
-        for y in effective[i + 1 :]:
-            if x + y + x.upper() + y.upper() not in rotset:
-                return False
-    return True
-
-
 # --- metric small cancellation -------------------------------------------
-
-@lru_cache(maxsize=64)
-def _marked_rotations(pres: Presentation) -> tuple[tuple[str, tuple[int, int, int]], ...]:
-    """All rotations of all relators and inverses, tagged by origin.
-
-    Tags are (relator index, sign, offset); rotations with equal words
-    but different tags stay distinct, which is what makes proper-power
-    relators fail the piece condition.
-    """
-    out = []
-    for i, r in enumerate(pres.relators):
-        for sign, base in ((1, r), (-1, inverse(r))):
-            for t in range(len(base)):
-                out.append((rotate(base, t), (i, sign, t)))
-    return tuple(out)
-
 
 def check_c16(pres: Presentation) -> bool:
     """Metric C'(1/6) test: every piece is shorter than a sixth of its relator.
@@ -156,7 +94,7 @@ def check_c16(pres: Presentation) -> bool:
     condition fails as soon as six times a piece length reaches the
     length of either relator involved.
     """
-    marks = _marked_rotations(pres)
+    marks = pres.marked_rotations
     for i in range(len(marks)):
         wi, _ = marks[i]
         for j in range(i + 1, len(marks)):
@@ -169,40 +107,6 @@ def check_c16(pres: Presentation) -> bool:
             if lcp and (6 * lcp >= len(wi) or 6 * lcp >= len(wj)):
                 return False
     return True
-
-
-@lru_cache(maxsize=64)
-def _rewrite_rules(pres: Presentation) -> tuple[re.Pattern, dict]:
-    """The rewrite rules: (pattern that finds a head, head -> (mark, s, inverse(s))).
-
-    One entry per marked rotation s, keyed by its head s[:len(s) // 2 + 1],
-    the shortest prefix longer than half of s.  The pattern (_trie_regex)
-    has about the sum of |r|^2 characters over the relators r.
-
-    Only built for C'(1/6) presentations.  There a common prefix of two
-    distinct marked rotations is a piece, shorter than a sixth of either
-    relator, so no head is a prefix of another and at most one head
-    matches at any position.  Without relators the pattern matches nothing.
-    """
-    rules = {}
-    for s, mark in _marked_rotations(pres):
-        rules[s[: len(s) // 2 + 1]] = (mark, s, inverse(s))
-    return re.compile(_trie_regex(sorted(rules)) if rules else "(?!)"), rules
-
-
-def _trie_regex(heads: list[str], depth: int = 0) -> str:
-    """Regular expression for sorted heads that agree on their first depth letters.
-
-    It spells their common prefix once and branches on the next letter,
-    so the engine follows one branch per letter instead of trying every
-    head.  Heads that agree up to a branch point share a piece, so the
-    recursion is at most the longest piece plus one deep.
-    """
-    if len(heads) == 1:
-        return heads[0][depth:]
-    k = len(commonprefix((heads[0], heads[-1])))  # that of all the sorted heads
-    branches = [_trie_regex(list(g), k) for _, g in groupby(heads, itemgetter(k))]
-    return heads[0][depth:k] + "(?:" + "|".join(branches) + ")"
 
 
 def dehn_greedy_trace(w: str, pres: Presentation):
@@ -219,7 +123,7 @@ def dehn_greedy_trace(w: str, pres: Presentation):
     piece, and under C'(1/6) a piece is shorter than a sixth of its
     relator.  So a prefix longer than half of a marked rotation belongs
     to that rotation alone, and at any position at most one head of
-    _rewrite_rules matches.  The leftmost match of the pattern is the
+    pres.rewrite_rules matches.  The leftmost match of the pattern is the
     first a scan over all positions and rotations finds, and counting j
     down from len(s) until s[:j] fits there gives the longest match,
     also one cut short by the end of the word.
@@ -251,7 +155,7 @@ def dehn_greedy_trace(w: str, pres: Presentation):
     """
     if not check_c16(pres):
         raise ValueError("greedy rewriting requires the C'(1/6) condition")
-    pattern, rules = _rewrite_rules(pres)
+    pattern, rules = pres.rewrite_rules
     longest = max(map(len, pres.relators), default=0)
     w = free_reduce(w)
     steps: list[tuple[int, tuple[int, int, int], int]] = []
@@ -279,12 +183,6 @@ def dehn_greedy(w: str, pres: Presentation) -> str:
     return dehn_greedy_trace(w, pres)[0]
 
 
-@lru_cache(maxsize=64)
-def _rotation_by_mark(pres: Presentation) -> dict[tuple[int, int, int], str]:
-    """The marked rotations of pres, keyed by their marks."""
-    return {mark: s for s, mark in _marked_rotations(pres)}
-
-
 def replay_dehn_trace(w: str, steps, pres: Presentation) -> str:
     """Re-apply a recorded greedy trace, validating every step.
 
@@ -295,7 +193,7 @@ def replay_dehn_trace(w: str, steps, pres: Presentation) -> str:
     copies the word, as in dehn_greedy_trace, instead of reducing the
     whole of it again.
     """
-    marks = _rotation_by_mark(pres)
+    marks = pres.rotation_by_mark
     w = free_reduce(w)
     for pos, mark, j in steps:
         # w[-1:] and w[True:] would slice too, and (False, True, 0) == (0, 1, 0)
@@ -312,11 +210,6 @@ def replay_dehn_trace(w: str, steps, pres: Presentation) -> str:
 
 # --- decisions ------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _model(pres: Presentation) -> AbelianModel:
-    return abelian_model(pres.generators, pres.relators)
-
-
 def wp_decide(w: str, pres: Presentation, strat: StrategySpec) -> Decision:
     """Decide whether w represents the identity in Q.
 
@@ -331,7 +224,7 @@ def wp_decide(w: str, pres: Presentation, strat: StrategySpec) -> Decision:
     validate_word(w, pres.generators)
 
     if strat.kind == ABELIAN:
-        residues = _model(pres).residues(w)
+        residues = pres.abelian_model.residues(w)
         if any(residues):
             return Decision(Verdict.NO, ("abelian", residues))
         if strat.exactness_claim:
@@ -364,7 +257,7 @@ def normal_form(w: str, pres: Presentation, strat: StrategySpec) -> str:
         raise ValueError("a normal form needs an exact strategy")
     if strat.kind == DEHN:
         return dehn_greedy(w, pres)
-    return _model(pres).normal_form(w)
+    return pres.abelian_model.normal_form(w)
 
 
 def q_equal(u: str, v: str, pres: Presentation, strat: StrategySpec) -> Decision:
@@ -408,7 +301,7 @@ def power_decide(w: str, u: str, pres: Presentation, strat: StrategySpec) -> Pow
         return PowerDecision(Verdict.NO, None, ("roots", roots))
 
     if strat.kind == ABELIAN:
-        model = _model(pres)
+        model = pres.abelian_model
         sol = power_solutions(model, w, u)
         if sol is None:
             return PowerDecision(Verdict.NO, None, ("lattice", model.coords(w), model.coords(u)))
@@ -518,9 +411,9 @@ def check_decision(dec: Decision, w: str, pres: Presentation) -> bool:
             return True
         case Decision(Verdict.YES | Verdict.NO, ("abelian", tuple(residues))) if (
             _int_vector(residues)
-            and (dec.no or certified_abelian(pres))  # zero residues prove w = 1 only then
+            and (dec.no or pres.certified_abelian)  # zero residues prove w = 1 only then
         ):
-            actual = _model(pres).residues(w)
+            actual = pres.abelian_model.residues(w)
             return residues == actual and dec.yes != any(actual)
         case Decision(Verdict.YES | Verdict.NO, ("dehn", tuple(steps), str(terminal))):
             try:
@@ -576,7 +469,7 @@ def check_power_decision(pd: PowerDecision, w: str, u: str, pres: Presentation) 
         case PowerDecision(Verdict.NO, None, ("lattice", tuple(cw), tuple(cu))) if (
             _int_vector(cw) and _int_vector(cu)
         ):
-            model = _model(pres)
+            model = pres.abelian_model
             return (cw, cu) == (model.coords(w), model.coords(u)) and (
                 power_solutions(model, w, u) is None
             )

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .area import Presentation
 from .decisions import Decision, PowerDecision, Verdict, Verdicted
 from .oracle import StrategySpec, check_power_decision, power_decide, q_equal
+from .presentation import Presentation
 from .words import (
     free_conjugator,
     free_reduce,

@@ -1,7 +1,11 @@
 """Shared pytest wiring and helpers: collects one summary line per acceptance
-criterion, and pads words with cancelling pairs."""
+criterion, pads words with cancelling pairs and draws seeded relators."""
+
+import random
 
 import pytest
+
+from fibreconj.words import is_cyclically_reduced, random_reduced_word
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -17,6 +21,14 @@ def pad(w: str, rng, letters: str) -> str:
         c = rng.choice(letters)
         w = w[:i] + c + c.swapcase() + w[i:]
     return w
+
+
+def seeded_relator(seed: int, generators: str, n: int) -> str:
+    """The first seeded random reduced word of n letters that is cyclically reduced."""
+    rng = random.Random(seed)
+    while not is_cyclically_reduced(r := random_reduced_word(rng, generators, n)):
+        pass
+    return r
 
 
 def pytest_configure(config):

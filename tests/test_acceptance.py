@@ -13,7 +13,6 @@ import pytest
 
 from conftest import record
 from fibreconj.area import (
-    Presentation,
     area_bounded,
     dehn_function,
     rel_cyclics_dehn,
@@ -39,6 +38,7 @@ from fibreconj.oracle import (
     wp_decide,
 )
 from fibreconj.perturb import PerturbConfig, power_avoid
+from fibreconj.presentation import Presentation
 from fibreconj.subdirect import canonical_setup, p_conjugacy, replay_trace
 from fibreconj.words import (
     exponent_vector,

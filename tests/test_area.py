@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from fibreconj import area
 from fibreconj.area import (
-    Presentation,
     VanKampenProduct,
     area_bounded,
     dehn_function,
@@ -24,6 +23,7 @@ from fibreconj.oracle import (
     power_decide,
     wp_decide,
 )
+from fibreconj.presentation import Presentation
 from fibreconj.words import (
     cyclic_reduce,
     exponent_vector,
@@ -74,7 +74,7 @@ def test_presentation_validation():
 
 
 def test_presentation_field_types():
-    # the per-presentation caches hash both fields, so a list would fail only later
+    # a list could change after a fact was computed from it
     with pytest.raises(TypeError, match="relators"):
         Presentation("ab", ["abAB"])
     with pytest.raises(TypeError, match="generators"):
@@ -130,7 +130,7 @@ def test_area_budget_per_expansion(monkeypatch):
         return bounds(v, *args)
 
     monkeypatch.setattr(area, "_bounds", spy)
-    strings = len(area._tables(G2).strings)
+    strings = len(G2.area_tables.strings)
     for budget in (1, 100, 1000, 3000):
         expanded.clear()
         res = area_bounded("acAC", None, G2, state_budget=budget)
@@ -165,7 +165,7 @@ def test_area_contour_restart(monkeypatch):
     # so the first contour runs out and the search restarts once, under
     # maxM, however far the area is above the root bound; states count
     # both contours
-    tables = area._tables(ZA3)
+    tables = ZA3.area_tables
     expanded = []
     bounds = area._bounds
     popped = []
@@ -260,7 +260,7 @@ def _reference_area(w, pres, lazy=True, state_budget=100_000):
     w = free_reduce(w)
     if w == "":
         return area.AreaResult(0, VanKampenProduct(()), False)
-    tables = area._tables(pres)
+    tables = pres.area_tables
     strings, forms, gens = tables.strings, tables.forms, pres.generators
     if not tables.step and any(exponent_vector(w, gens)):
         return area.AreaResult(None, None, True)

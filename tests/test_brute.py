@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from fibreconj.area import Presentation
 from fibreconj.brute import (
     ABSENT_WITHIN_BOUND,
     FOUND,
@@ -15,6 +14,7 @@ from fibreconj.brute import (
     random_instances,
 )
 from fibreconj.oracle import auto_strategy
+from fibreconj.presentation import Presentation
 from fibreconj.subdirect import canonical_setup, pair_conjugate
 from fibreconj.words import free_reduce, inverse, is_proper_power, primitive_root
 

@@ -7,19 +7,16 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import pad
+from conftest import pad, seeded_relator
 from fibreconj import area, oracle, words
 from fibreconj.abelian import abelian_model
-from fibreconj.area import Presentation, VanKampenProduct, area_bounded
+from fibreconj.area import VanKampenProduct, area_bounded
 from fibreconj.cli import parse_presentation_file
 from fibreconj.decisions import Decision, PowerDecision, Verdict
 from fibreconj.oracle import (
     StrategySpec,
-    _marked_rotations,
     _power_by_scan,
-    _rewrite_rules,
     auto_strategy,
-    certified_abelian,
     check_c16,
     check_decision,
     check_power_decision,
@@ -32,10 +29,10 @@ from fibreconj.oracle import (
     replay_dehn_trace,
     wp_decide,
 )
+from fibreconj.presentation import Presentation
 from fibreconj.words import (
     free_reduce,
     inverse,
-    is_cyclically_reduced,
     mul,
     mul2,
     power,
@@ -55,25 +52,17 @@ G2G3 = Presentation("abcdefghij", ("abABcdCD", "efEFghGHijIJ"))
 FREE = Presentation("ab", ())
 
 
-def _seeded_relator(seed: int, generators: str, n: int) -> str:
-    """The first seeded random reduced word of n letters that is cyclically reduced."""
-    rng = random.Random(seed)
-    while not is_cyclically_reduced(r := random_reduced_word(rng, generators, n)):
-        pass
-    return r
-
-
 # one relator of 32 letters: a whole-relator match ends 15 letters past its head
-LONG = Presentation("ab", (_seeded_relator(32, "ab", 32),))
+LONG = Presentation("ab", (seeded_relator(32, "ab", 32),))
 
 
 def test_certified_abelian():
-    assert certified_abelian(Z)
-    assert certified_abelian(Z2)
-    assert certified_abelian(Z3)
-    assert certified_abelian(Presentation("ab", ("b", "aaa")))
-    assert not certified_abelian(G2)
-    assert not certified_abelian(FREE)
+    assert Z.certified_abelian
+    assert Z2.certified_abelian
+    assert Z3.certified_abelian
+    assert Presentation("ab", ("b", "aaa")).certified_abelian
+    assert not G2.certified_abelian
+    assert not FREE.certified_abelian
 
 
 def test_check_c16():
@@ -184,7 +173,7 @@ def _leftmost_rescan(w: str, pres: Presentation):
     and freely reduces the whole word after each step.  dehn_greedy_trace
     must produce exactly its (terminal, steps).
     """
-    marks = _marked_rotations(pres)
+    marks = pres.marked_rotations
     w = free_reduce(w)
     steps = []
     while True:
@@ -210,7 +199,7 @@ def _leftmost_rescan(w: str, pres: Presentation):
 def _full_reduction_replay(w: str, steps, pres: Presentation) -> str:
     """Reference replay: the step rule of _leftmost_rescan, which freely
     reduces the whole word after every step."""
-    marks = {mark: s for s, mark in _marked_rotations(pres)}
+    marks = {mark: s for s, mark in pres.marked_rotations}
     w = free_reduce(w)
     for pos, mark, j in steps:
         s = marks[mark]
@@ -221,7 +210,7 @@ def _full_reduction_replay(w: str, steps, pres: Presentation) -> str:
 
 def _seeded_relator_product(rng, pres: Presentation, factors: int) -> str:
     """A product of conjugated rotations of the relators and their inverses."""
-    rotations = [s for s, _ in _marked_rotations(pres)]
+    rotations = [s for s, _ in pres.marked_rotations]
     w = ""
     for _ in range(factors):
         g = random_reduced_word(rng, pres.generators, rng.randint(0, 4))
@@ -233,7 +222,7 @@ def _any_step(rng, w: str, pres: Presentation):
     """A step that passes every check of replay_dehn_trace, greedy or not, or None."""
     fits = [
         (pos, mark, j)
-        for s, mark in _marked_rotations(pres)
+        for s, mark in pres.marked_rotations
         for pos in range(len(w))
         for j in range(len(s) // 2 + 1, len(s) + 1)
         if w[pos : pos + j] == s[:j]
@@ -268,7 +257,7 @@ def _surface_words(pres: Presentation, max_size: int):
 
 def _relator_products(pres: Presentation):
     """Products of conjugated rotations of the relators and their inverses."""
-    rotations = [s for s, _ in _marked_rotations(pres)]
+    rotations = [s for s, _ in pres.marked_rotations]
     factor = st.tuples(_surface_words(pres, 6), st.sampled_from(rotations))
 
     def product(factors):
@@ -315,7 +304,7 @@ def test_dehn_trace_matches_leftmost_rescan(case):
 
 def _flat_pattern(pres: Presentation) -> re.Pattern:
     """One alternative per marked rotation s: its head s[:len(s) // 2 + 1]."""
-    return re.compile("|".join(s[: len(s) // 2 + 1] for s, _ in _marked_rotations(pres)))
+    return re.compile("|".join(s[: len(s) // 2 + 1] for s, _ in pres.marked_rotations))
 
 
 @settings(max_examples=200, deadline=None)
@@ -324,7 +313,7 @@ def _flat_pattern(pres: Presentation) -> re.Pattern:
 )
 def test_trie_pattern_matches_flat_pattern(case):
     pres, w = case
-    trie, flat = _rewrite_rules(pres)[0], _flat_pattern(pres)
+    trie, flat = pres.rewrite_rules[0], _flat_pattern(pres)
     for start in range(len(w) + 1):
         got, want = trie.match(w, start), flat.match(w, start)
         assert (got and got.span()) == (want and want.span())
@@ -345,11 +334,11 @@ def test_dehn_long_relator_product():
 def test_dehn_relator_of_a_thousand_letters():
     # one rule per marked rotation, keyed by its head; a relator this long
     # once overflowed the recursion of re's parser
-    pres = Presentation("ab", (_seeded_relator(1000, "ab", 1000),))
+    pres = Presentation("ab", (seeded_relator(1000, "ab", 1000),))
     w = _seeded_relator_product(random.Random(1000), pres, 20)
     dec = wp_decide(w, pres, StrategySpec("dehn", exactness_claim=True))  # checks C'(1/6)
-    rules = _rewrite_rules(pres)[1]
-    marks = _marked_rotations(pres)
+    rules = pres.rewrite_rules[1]
+    marks = pres.marked_rotations
     assert sorted(rules.values()) == sorted((mark, s, inverse(s)) for s, mark in marks)
     assert all(head == s[: len(s) // 2 + 1] for head, (_, s, _) in rules.items())
     assert dec.yes and dec.certificate[2] == ""
@@ -449,7 +438,7 @@ def _count_free_reduce(monkeypatch) -> list[str]:
 
 
 def test_wp_decide_reduces_once(monkeypatch):
-    # warm the per-presentation caches, which reduce relators on first use
+    # compute the presentations' facts, which reduce relators on first use
     for pres in (G2, Z2):
         wp_decide("", pres, auto_strategy(pres))
     padded = "aA" + "abABcdCD" + "dD" + "c"  # trivial times c
@@ -562,7 +551,7 @@ def test_order_no_carries_evidence():
 def test_forged_abelian_yes_is_rejected():
     # abAB is nontrivial in <a,b | aabbAABB>, but its abelian image is zero
     pres = Presentation("ab", ("aabbAABB",))
-    assert not certified_abelian(pres)
+    assert not pres.certified_abelian
     model = abelian_model(pres.generators, pres.relators)
     forged = Decision(Verdict.YES, ("abelian", model.residues("abAB")))
     assert not check_decision(forged, "abAB", pres)

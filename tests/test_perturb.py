@@ -7,7 +7,6 @@ from itertools import count
 import pytest
 
 from fibreconj import perturb
-from fibreconj.area import Presentation
 from fibreconj.oracle import (
     auto_strategy,
     check_decision,
@@ -17,6 +16,7 @@ from fibreconj.oracle import (
     wp_decide,
 )
 from fibreconj.perturb import KMaxExhausted, PerturbConfig, kernel_witness, power_avoid
+from fibreconj.presentation import Presentation
 from fibreconj.subdirect import canonical_setup
 from fibreconj.words import (
     exponent_vector,

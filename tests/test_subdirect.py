@@ -6,10 +6,10 @@ from dataclasses import replace
 import pytest
 
 from conftest import pad
-from fibreconj.area import Presentation
 from fibreconj.brute import random_instances
 from fibreconj.decisions import PowerDecision, Verdict
 from fibreconj.oracle import auto_strategy, check_power_decision, power_decide, q_equal
+from fibreconj.presentation import Presentation
 from fibreconj.subdirect import (
     ConjugacyResult,
     ConjugacyTrace,
