@@ -4,10 +4,11 @@ Free-group arithmetic, van Kampen area machinery, certified word and
 power problem strategies, conjugacy in the fibre product P < F x F, and
 independent brute-force oracles for cross-checking.  The names below
 are the documented API; everything else is reached through its module.
+The brute_* references load on first use, so that answering a query
+does not import them.
 """
 
 from .area import area_bounded, dehn_function
-from .brute import brute_area, brute_p_conjugacy, brute_primitive_root
 from .decisions import Verdict
 from .oracle import (
     auto_strategy,
@@ -46,3 +47,14 @@ __all__ = [
     "replay_trace",
     "wp_decide",
 ]
+
+
+_BRUTE = ("brute_area", "brute_p_conjugacy", "brute_primitive_root")
+
+
+def __getattr__(name: str):
+    if name in _BRUTE:
+        from . import brute
+
+        return getattr(brute, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

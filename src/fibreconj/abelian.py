@@ -12,7 +12,7 @@ w = u^p there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .words import exponent_vector
 
@@ -63,8 +63,7 @@ def _reduce(x, echelon) -> tuple[int, ...]:
     return tuple(x)
 
 
-@dataclass(frozen=True)
-class AbelianModel:
+class AbelianModel(NamedTuple):
     """Z^n modulo the relator lattice, held as an echelon basis (see _echelon_rows).
 
     coords(w) is the exponent vector of w; residues(w) is its reduced

@@ -9,8 +9,8 @@ Dehn function and its rel-cyclics variant on desk-scale inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from . import words
 from .decisions import OracleUnknown
@@ -29,8 +29,7 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class VanKampenProduct:
+class VanKampenProduct(NamedTuple):
     """A product of conjugated relators: factors are (theta, relator) pairs."""
 
     factors: tuple[tuple[str, str], ...]
@@ -58,8 +57,7 @@ def evaluate_vk_product(prod: VanKampenProduct, pres: Presentation) -> str:
     return mul(*parts)
 
 
-@dataclass(frozen=True)
-class AreaResult:
+class AreaResult(NamedTuple):
     """Outcome of area_bounded.
 
     states counts the search states generated over all contours; a

@@ -14,13 +14,6 @@ import random
 import sys
 
 from .area import area_bounded, dehn_function, rel_cyclics_dehn
-from .brute import (
-    brute_area,
-    brute_p_conjugacy,
-    brute_power,
-    brute_primitive_root,
-    random_instances,
-)
 from .decisions import OracleUnknown, Verdict
 from .oracle import (
     KINDS,
@@ -339,6 +332,14 @@ def _run_gens(args, pres, strat) -> int:
 
 
 def _run_verify(args, pres, strat) -> int:
+    from .brute import (  # the references load only here, not on every query
+        brute_area,
+        brute_p_conjugacy,
+        brute_power,
+        brute_primitive_root,
+        random_instances,
+    )
+
     instances = agreements = disagreements = unknowns = 0
     rng = random.Random(args.seed)
 

@@ -7,9 +7,8 @@ gave up instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from typing import Any, NamedTuple
 
 
 class Verdict(Enum):
@@ -21,9 +20,13 @@ class Verdict(Enum):
 class Verdicted:
     """The yes/no/unknown views of a result's verdict field.
 
-    A plain base, not a dataclass: it adds no field, so the results
-    built on it keep their field order, positional construction and repr.
+    A mixin that adds no field: each result subclasses a NamedTuple of
+    its fields and this mixin, both with empty __slots__, so it keeps its
+    field order, positional construction and repr, and its instances
+    are tuples without a __dict__.
     """
+
+    __slots__ = ()
 
     verdict: Verdict
 
@@ -40,21 +43,27 @@ class Verdicted:
         return self.verdict is Verdict.UNKNOWN
 
 
-@dataclass(frozen=True)
-class Decision(Verdicted):
-    """Answer to a single word-problem style query."""
-
+class _DecisionFields(NamedTuple):
     verdict: Verdict
     certificate: Any = None
 
 
-@dataclass(frozen=True)
-class PowerDecision(Verdicted):
-    """Answer to "is w a power of u": Yes carries the exponent."""
+class Decision(_DecisionFields, Verdicted):
+    """Answer to a single word-problem style query."""
 
+    __slots__ = ()
+
+
+class _PowerDecisionFields(NamedTuple):
     verdict: Verdict
     p: int | None = None
     certificate: Any = None
+
+
+class PowerDecision(_PowerDecisionFields, Verdicted):
+    """Answer to "is w a power of u": Yes carries the exponent."""
+
+    __slots__ = ()
 
 
 class OracleUnknown(Exception):

@@ -11,7 +11,7 @@ presentation of a free group passes vacuously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .abelian import minimal_power, power_solutions
 from .area import VanKampenProduct, area_bounded, evaluate_vk_product
@@ -38,8 +38,7 @@ _POWER_SCAN_DEFAULT = 8
 _ORDER_SCAN_DEFAULT = 16
 
 
-@dataclass(frozen=True)
-class StrategySpec:
+class StrategySpec(NamedTuple):
     """A word-problem strategy paired with its honesty flags.
 
     exactness_claim means every query gets a definite answer; it is set
@@ -53,7 +52,12 @@ class StrategySpec:
 
 
 def make_strategy(pres: Presentation, kind: str, budget: int = 1_000_000) -> StrategySpec:
-    """Validate the strategy/presentation pairing and fix the exactness flag."""
+    """Validate the budget and the strategy/presentation pairing; fix the exactness flag.
+
+    The budget is a positive int, not a bool: True == 1, but a bool is no count.
+    """
+    if type(budget) is not int:
+        raise TypeError(f"budget must be an int, not {type(budget).__name__}")
     if budget <= 0:
         raise ValueError("budget must be positive")
     exact = _exact(pres, kind)

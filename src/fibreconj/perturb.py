@@ -13,7 +13,7 @@ perturbation costs a few word-problem calls at any word length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .decisions import Decision
 from .oracle import StrategySpec, normal_form, q_equal
@@ -25,19 +25,32 @@ class KMaxExhausted(Exception):
     """Every tried perturbation exponent still produced a proper power."""
 
 
-@dataclass(frozen=True)
-class PerturbConfig:
-    """Tuning for power_avoid: k_max bounds the witness exponents tried."""
-
+class _PerturbConfigFields(NamedTuple):
     k_max: int = 8
 
-    def __post_init__(self):
-        if self.k_max < 0:
+
+class PerturbConfig(_PerturbConfigFields):
+    """Tuning for power_avoid: k_max bounds the witness exponents tried.
+
+    k_max is a non-negative int, not a bool; every construction, _make
+    and _replace included, validates.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, k_max: int = 8):
+        if type(k_max) is not int:
+            raise TypeError(f"k_max must be an int, not {type(k_max).__name__}")
+        if k_max < 0:
             raise ValueError("k_max must be non-negative")
+        return super().__new__(cls, k_max)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class PerturbResult:
+class PerturbResult(NamedTuple):
     """Outcome of power_avoid.
 
     word holds the perturbed word, or the empty word in the exceptional

@@ -8,7 +8,6 @@ immutable fields only, so a fact never goes stale.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, groupby
 from operator import itemgetter
@@ -39,39 +38,53 @@ class _Tables(NamedTuple):
     planes: tuple[tuple[str, str, int, dict[str, tuple[tuple[int, int, int], ...]]], ...]
 
 
-@dataclass(frozen=True)
-class Presentation:
+class _PresentationFields(NamedTuple):
+    generators: str
+    relators: tuple[str, ...] = ()
+
+
+class Presentation(_PresentationFields):
     """Finite presentation <generators | relators> of a quotient Q.
 
     Generators are distinct lowercase letters in declaration order.
     Relators must be nonempty, freely and cyclically reduced words over
-    the generators.
+    the generators.  Every construction, _make and _replace included,
+    validates.  The instance __dict__ holds only the cached facts:
+    assigning or deleting an attribute raises AttributeError.
     """
 
-    generators: str
-    relators: tuple[str, ...] = ()
-
-    def __post_init__(self):
+    def __new__(cls, generators: str, relators: tuple[str, ...] = ()):
         # immutable fields, so a fact computed once cannot go stale
-        if not isinstance(self.generators, str):
-            raise TypeError(f"generators must be a str, not {type(self.generators).__name__}")
-        if not isinstance(self.relators, tuple):
-            raise TypeError(f"relators must be a tuple, not {type(self.relators).__name__}")
-        if not self.generators:
+        if not isinstance(generators, str):
+            raise TypeError(f"generators must be a str, not {type(generators).__name__}")
+        if not isinstance(relators, tuple):
+            raise TypeError(f"relators must be a tuple, not {type(relators).__name__}")
+        if not generators:
             raise ValueError("presentation needs at least one generator")
-        for g in self.generators:
+        for g in generators:
             if not (g.isascii() and g.isalpha() and g.islower()):
                 raise ValueError(f"generator {g!r} is not a lowercase letter")
-        if len(set(self.generators)) != len(self.generators):
-            raise ValueError(f"duplicate generator in {self.generators!r}")
-        for r in self.relators:
-            validate_word(r, self.generators)
+        if len(set(generators)) != len(generators):
+            raise ValueError(f"duplicate generator in {generators!r}")
+        for r in relators:
+            validate_word(r, generators)
             if not r:
                 raise ValueError("empty relator")
             if not is_reduced(r):
                 raise ValueError(f"relator {r!r} is not freely reduced")
             if not is_cyclically_reduced(r):
                 raise ValueError(f"relator {r!r} is not cyclically reduced")
+        return super().__new__(cls, generators, relators)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def max_relator_length(self) -> int:

@@ -10,7 +10,6 @@ arithmetic before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .decisions import Decision, PowerDecision, Verdict, Verdicted
@@ -57,8 +56,7 @@ def pair_conjugate(pair, g) -> PairElement:
     return pair_mul(pair_inverse(g), pair, g)
 
 
-@dataclass(frozen=True)
-class SubdirectSetup:
+class SubdirectSetup(NamedTuple):
     """The canonical fibre product P of a presentation."""
 
     pres: Presentation
@@ -128,8 +126,7 @@ def conjugacy_words(U: PairElement, V: PairElement) -> ConjugacyWords:
     return ConjugacyWords(x1, x2, mul2(x1, inverse(x2)), r1.root, r1.exponent, r2.root, r2.exponent)
 
 
-@dataclass(frozen=True)
-class ConjugacyTrace:
+class ConjugacyTrace(NamedTuple):
     """What p_conjugacy decided; conjugacy_words re-derives its words from U and V.
 
     branch is one of "coords", "deg-first", "deg-second", "main".  For
@@ -143,11 +140,14 @@ class ConjugacyTrace:
     winner: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True)
-class ConjugacyResult(Verdicted):
+class _ConjugacyResultFields(NamedTuple):
     verdict: Verdict
     conjugator: PairElement | None
     trace: ConjugacyTrace
+
+
+class ConjugacyResult(_ConjugacyResultFields, Verdicted):
+    __slots__ = ()
 
 
 def _conjugate2(g: str, u: str) -> str:
@@ -237,6 +237,15 @@ def _replays_query(q, j: int, verdicts, p, words: ConjugacyWords, pres) -> bool:
     return False
 
 
+def _bare(trace, branch: str) -> bool:
+    """trace is ConjugacyTrace(branch), matched by class: a plain tuple
+    equals the record of its fields, but is no trace."""
+    match trace:
+        case ConjugacyTrace(b, tuple(()), None):
+            return b == branch
+    return False
+
+
 def replay_trace(result: ConjugacyResult, U, V, setup: SubdirectSetup, strat: StrategySpec) -> bool:
     """Re-derive a conjugacy result from U and V, matching the whole result.
 
@@ -264,7 +273,7 @@ def replay_trace(result: ConjugacyResult, U, V, setup: SubdirectSetup, strat: St
             and p_membership(gamma, setup, strat).yes
         ):
             if not main:  # the coordinates are conjugate, so U has a trivial one
-                return trace == ConjugacyTrace("deg-first" if U[0] == "" else "deg-second")
+                return _bare(trace, "deg-first" if U[0] == "" else "deg-second")
             match trace:
                 case ConjugacyTrace("main", (*missed, won), (int(j), int(p))) if (
                     type(j) is type(p) is int and len(missed) == j < words.e2
@@ -283,6 +292,6 @@ def replay_trace(result: ConjugacyResult, U, V, setup: SubdirectSetup, strat: St
                 _replays_query(q, j, (Verdict.NO,), None, words, setup.pres)
                 for j, q in enumerate(queries)
             )
-        case ConjugacyResult(Verdict.NO, None, trace) if trace == ConjugacyTrace("coords"):
+        case ConjugacyResult(Verdict.NO, None, trace) if _bare(trace, "coords"):
             return words.x1 is None or words.x2 is None
     return False

@@ -10,8 +10,8 @@ freely reduced input and all produce freely reduced output.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 
 def is_word(s: str) -> bool:
@@ -164,8 +164,7 @@ def free_conjugator(w: str, v: str) -> str | None:
     return x
 
 
-@dataclass(frozen=True)
-class RootDecomposition:
+class RootDecomposition(NamedTuple):
     """w = root^exponent exactly, with root primitive (not a proper power)."""
 
     root: str

@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,9 +10,10 @@ import pytest
 from fibreconj import cli
 from fibreconj.cli import main
 from fibreconj.subdirect import ConjugacyTrace, p_conjugacy
-from fibreconj.words import free_reduce, inverse
+from fibreconj.words import RootDecomposition, free_reduce, inverse
 
 PRES = Path(__file__).resolve().parents[1] / "presentations"
+FREE = str(PRES / "free.txt")
 Z = str(PRES / "z.txt")
 Z2 = str(PRES / "z2.txt")
 Z3 = str(PRES / "z3.txt")
@@ -96,7 +96,7 @@ def test_verify_conj_counts_unreplayable_answers(capsys, monkeypatch):
     # even where brute force finds nothing to contradict it
     def bare(*args):
         res = p_conjugacy(*args)
-        return replace(res, trace=ConjugacyTrace(res.trace.branch))
+        return res._replace(trace=ConjugacyTrace(res.trace.branch))
 
     monkeypatch.setattr(cli, "p_conjugacy", bare)
     code, out, _ = run(capsys, ["verify", "conj", "-p", Z2, "--count", "20", "--seed", "5"])
@@ -258,6 +258,28 @@ def test_verify_conj(capsys):
     assert "disagreements=0" in out[-1]
 
 
+def test_verify_root(capsys):
+    code, out, _ = run(
+        capsys, ["verify", "root", "-p", FREE, "--count", "200", "--max-len", "8", "--seed", "2"]
+    )
+    assert code == 0
+    assert out == ["RESULT instances=200 agreements=200 disagreements=0 unknowns=0"]
+
+
+def test_verify_root_counts_a_wrong_primitive_root(capsys, monkeypatch):
+    # every word of length >= 2 over one generator is a proper power
+    monkeypatch.setattr(cli, "primitive_root", lambda w: RootDecomposition(w, 1))
+    code, out, _ = run(
+        capsys, ["verify", "root", "-p", Z3, "--count", "4", "--max-len", "4", "--seed", "2"]
+    )
+    assert code == 1
+    assert out == [
+        "disagree word=AA engine=AA^1 brute=A^2",
+        "disagree word=aa engine=aa^1 brute=a^2",
+        "RESULT instances=4 agreements=2 disagreements=2 unknowns=0",
+    ]
+
+
 def test_structured_output(capsys):
     code, out, _ = run(capsys, ["wp", "-p", Z, "-w", "b", "--structured"])
     assert code == 0 and out == ["command=wp word=b verdict=YES"]
@@ -370,3 +392,25 @@ def test_module_entry_point_passes_exit_code():
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 1 and proc.stdout == "NO\n"
+
+
+def test_cold_start_leaves_dataclasses_and_brute_force_unloaded():
+    # a query process needs neither; the brute_* references load on first use.
+    # -S keeps site-packages hooks, which may import anything, out of the count
+    script = """
+import sys
+import fibreconj, fibreconj.cli
+print(sorted({"dataclasses", "inspect", "fibreconj.brute"} & set(sys.modules)))
+from fibreconj import *
+from fibreconj import brute
+names = ("brute_area", "brute_p_conjugacy", "brute_primitive_root")
+print(all(getattr(fibreconj, n) is getattr(brute, n) is globals()[n] for n in names))
+print(hasattr(fibreconj, "brute_power"))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True", "False"]

@@ -98,6 +98,12 @@ def test_strategy_pairing_errors():
         make_strategy(Z2, "nonsense")
     with pytest.raises(ValueError):
         make_strategy(Z2, "abelian", budget=0)
+    # True == 1, but a bool is no budget; nor is a float
+    for bad in (True, False, 2.5, "1000", None):
+        with pytest.raises(TypeError, match="budget must be an int"):
+            make_strategy(Z2, "abelian", bad)
+        with pytest.raises(TypeError, match="budget must be an int"):
+            auto_strategy(G2, bad)
     assert make_strategy(FREE, "dehn").exactness_claim
     assert make_strategy(G2, "abelian").exactness_claim is False
     # a spec is checked against the presentation of every query it serves

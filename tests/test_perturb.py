@@ -183,6 +183,22 @@ def test_power_avoid_exceptional_iff_trivial():
     assert res.image_certificate.yes
 
 
+def test_perturb_config_validates_k_max():
+    assert PerturbConfig() == PerturbConfig(8) and PerturbConfig(0).k_max == 0
+    with pytest.raises(ValueError, match="non-negative"):
+        PerturbConfig(-1)
+    # True == 1, but a bool is no exponent bound; nor is a float
+    for bad in (True, False, 2.5, "8", None):
+        with pytest.raises(TypeError, match="k_max must be an int"):
+            PerturbConfig(k_max=bad)
+    # _make and _replace build through __new__ as well
+    with pytest.raises(ValueError, match="non-negative"):
+        PerturbConfig()._replace(k_max=-1)
+    with pytest.raises(TypeError):
+        PerturbConfig._make((True,))
+    assert type(PerturbConfig()._replace(k_max=3)) is PerturbConfig
+
+
 def test_power_avoid_rank_one_exhausts():
     # over a single generator every word of length >= 2 is a proper
     # power, so no perturbation exponent can ever succeed, and the

@@ -64,6 +64,29 @@ def test_facts_leave_equality_hash_and_repr():
     assert other.marked_rotations is not pres.marked_rotations
 
 
+def test_every_construction_path_validates():
+    # _make and _replace build through __new__, so no path skips the checks
+    with pytest.raises(ValueError, match="not freely reduced"):
+        Z2._replace(relators=("aA",))
+    with pytest.raises(ValueError, match="duplicate generator"):
+        Presentation._make(("aa", ()))
+    with pytest.raises(TypeError, match="relators"):
+        Presentation._make(("ab", ["abAB"]))
+    assert Z2._replace(relators=("aaa", "abAB")) == ZXZ3
+    assert type(Presentation._make(("ab", ("abAB",)))) is Presentation
+
+
+def test_fields_and_facts_refuse_assignment():
+    pres = Presentation("ab", ("abAB",))
+    assert pres.marked_rotations  # the facts live in the instance __dict__
+    for name in ("generators", "relators", "marked_rotations", "other"):
+        with pytest.raises(AttributeError):
+            setattr(pres, name, ())
+        with pytest.raises(AttributeError):
+            delattr(pres, name)
+    assert pres == ("ab", ("abAB",)) and "marked_rotations" in vars(pres)
+
+
 @pytest.mark.parametrize("pres", [G2, Z2, ZXZ3, LONG], ids=["genus2", "Z2", "ZxZ3", "long"])
 def test_area_tables_read_off_marked_rotations(pres):
     # strings are the distinct marked rotations in first-seen order, which

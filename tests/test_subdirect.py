@@ -1,7 +1,6 @@
 """Fibre product membership and conjugacy."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -125,10 +124,13 @@ def test_conjugacy_degenerate_branches():
     assert replay_trace(res2, U2, V2, setup, strat)
     # the branch must be the one U takes, and a degenerate trace holds nothing else
     for bad, (u, v) in (
-        (replace(res, trace=ConjugacyTrace("deg-second")), (U, V)),
-        (replace(res, trace=ConjugacyTrace("deg-first", winner=(0, 0))), (U, V)),
-        (replace(res2, trace=ConjugacyTrace("deg-first")), (U2, V2)),
-        (replace(res2, trace=ConjugacyTrace("deg-second", ((0, "", None),))), (U2, V2)),
+        (res._replace(trace=ConjugacyTrace("deg-second")), (U, V)),
+        (res._replace(trace=ConjugacyTrace("deg-first", winner=(0, 0))), (U, V)),
+        (res2._replace(trace=ConjugacyTrace("deg-first")), (U2, V2)),
+        (res2._replace(trace=ConjugacyTrace("deg-second", ((0, "", None),))), (U2, V2)),
+        # plain tuples equal to the right traces, but no ConjugacyTrace
+        (res._replace(trace=("deg-first", (), None)), (U, V)),
+        (res2._replace(trace=("deg-second", (), None)), (U2, V2)),
     ):
         assert replay_trace(bad, u, v, setup, strat) is False, bad
 
@@ -175,7 +177,7 @@ def test_replay_rejects_non_positive():
     res = p_conjugacy(U, V, setup, strat)
     assert res.no and res.trace.branch == "main"
     assert replay_trace(res, U, V, setup, strat) is True
-    assert replay_trace(replace(res, verdict=Verdict.UNKNOWN), U, V, setup, strat) is False
+    assert replay_trace(res._replace(verdict=Verdict.UNKNOWN), U, V, setup, strat) is False
 
 
 def test_replay_rejects_malformed_results():
@@ -186,21 +188,21 @@ def test_replay_rejects_malformed_results():
     trace = res.trace
     j, p = trace.winner
     forged = [
-        replace(res, trace=None),
-        replace(res, conjugator=None),
-        replace(res, conjugator=tuple(res.conjugator)),
-        replace(res, trace=replace(trace, branch="coords")),
+        res._replace(trace=None),
+        res._replace(conjugator=None),
+        res._replace(conjugator=tuple(res.conjugator)),
+        res._replace(trace=trace._replace(branch="coords")),
         # a true Yes, but U is on the main branch
-        replace(res, trace=ConjugacyTrace("deg-first")),
-        replace(res, trace=replace(trace, branch="deg-second")),
-        replace(res, trace=replace(trace, winner=None)),
-        replace(res, trace=replace(trace, winner=("x", p))),
-        replace(res, trace=replace(trace, winner=(j, p, 0))),
-        replace(res, trace=replace(trace, winner=(j + 1, p))),
-        replace(res, trace=replace(trace, winner=(j, p + 1))),
-        replace(res, trace=replace(trace, queries=())),
-        replace(res, trace=replace(trace, queries=None)),
-        replace(res, trace=replace(trace, queries=(None,))),
+        res._replace(trace=ConjugacyTrace("deg-first")),
+        res._replace(trace=trace._replace(branch="deg-second")),
+        res._replace(trace=trace._replace(winner=None)),
+        res._replace(trace=trace._replace(winner=("x", p))),
+        res._replace(trace=trace._replace(winner=(j, p, 0))),
+        res._replace(trace=trace._replace(winner=(j + 1, p))),
+        res._replace(trace=trace._replace(winner=(j, p + 1))),
+        res._replace(trace=trace._replace(queries=())),
+        res._replace(trace=trace._replace(queries=None)),
+        res._replace(trace=trace._replace(queries=(None,))),
         ConjugacyResult(Verdict.YES, res.conjugator, None),
         None,
     ]
@@ -218,11 +220,11 @@ def test_replay_rejects_malformed_results():
     gamma = res.conjugator
     for bad in (
         # False == 0, but a bool is no exponent
-        replace(res, trace=replace(res.trace, winner=(False, -1))),
-        replace(res, trace=replace(res.trace, queries=(
+        res._replace(trace=res.trace._replace(winner=(False, -1))),
+        res._replace(trace=res.trace._replace(queries=(
             res.trace.queries[-1]._replace(target=res.trace.queries[-1].target + "xX"),
         ))),
-        replace(res, conjugator=PairElement(gamma.first + "xX", gamma.second)),
+        res._replace(conjugator=PairElement(gamma.first + "xX", gamma.second)),
     ):
         assert replay_trace(bad, U, V, setup, strat) is False, bad
 
@@ -248,10 +250,10 @@ def test_replay_checks_the_winning_decision():
         (j, won.target, won.decision),  # no PowerQuery
     ):
         forged = trace.queries[:-1] + (last,)
-        bad = replace(res, trace=replace(trace, queries=forged))
+        bad = res._replace(trace=trace._replace(queries=forged))
         assert replay_trace(bad, U, V, setup, strat) is False, last
     # the winning query is the last one
-    bad = replace(res, trace=replace(trace, queries=trace.queries + (won._replace(j=j + 1),)))
+    bad = res._replace(trace=trace._replace(queries=trace.queries + (won._replace(j=j + 1),)))
     assert replay_trace(bad, U, V, setup, strat) is False
 
 
@@ -279,14 +281,15 @@ def test_replay_rejects_forged_coords_nos():
     query = PowerQuery(0, "a", power_decide("a", "b", Z2, strat))
     forged = [
         # fields the coords branch leaves unset
-        replace(res, trace=replace(trace, queries=(query,))),
-        replace(res, trace=replace(trace, queries=[])),  # a list, not the empty tuple
-        replace(res, trace=replace(trace, winner=(0, 0))),
-        replace(res, trace=replace(trace, branch="main")),
-        replace(res, verdict=Verdict.YES),  # a Yes with a coords trace
-        replace(res, verdict=Verdict.YES, conjugator=PairElement("", "a")),
-        replace(res, verdict=Verdict.UNKNOWN),
-        replace(res, conjugator=PairElement("", "a")),
+        res._replace(trace=trace._replace(queries=(query,))),
+        res._replace(trace=trace._replace(queries=[])),  # a list, not the empty tuple
+        res._replace(trace=trace._replace(winner=(0, 0))),
+        res._replace(trace=trace._replace(branch="main")),
+        res._replace(verdict=Verdict.YES),  # a Yes with a coords trace
+        res._replace(verdict=Verdict.YES, conjugator=PairElement("", "a")),
+        res._replace(verdict=Verdict.UNKNOWN),
+        res._replace(conjugator=PairElement("", "a")),
+        res._replace(trace=("coords", (), None)),  # equal to the trace, but a plain tuple
     ]
     for bad in forged:
         assert replay_trace(bad, U, V, setup, strat) is False, bad
@@ -312,7 +315,7 @@ def test_replay_rejects_forged_main_nos():
     assert extra.decision.no
 
     def with_queries(*queries):
-        return replace(res, trace=replace(trace, queries=queries))
+        return res._replace(trace=trace._replace(queries=queries))
 
     forged = [
         with_queries(q0),  # a query dropped
@@ -325,7 +328,7 @@ def test_replay_rejects_forged_main_nos():
         with_queries(q0._replace(decision=other), q1),  # a No about another target
         with_queries(q0._replace(decision=q1.decision), q1),
         with_queries(q1._replace(j=0), q1),  # query 1's target and No as query 0
-        replace(res, trace=replace(trace, winner=(0, 1))),  # a winner on a No
+        res._replace(trace=trace._replace(winner=(0, 1))),  # a winner on a No
     ]
     for bad in forged:
         assert replay_trace(bad, U, V, setup, strat) is False, bad
@@ -357,7 +360,7 @@ def test_replay_checks_every_query_before_the_winner(pres, U, V, winner, other):
     assert other_no.no and not check_power_decision(other_no, q0.target, z1, pres)
 
     def with_queries(*queries):
-        return replace(res, trace=replace(trace, queries=queries))
+        return res._replace(trace=trace._replace(queries=queries))
 
     # an Unknown before the winner is what the scan passes over
     assert replay_trace(with_queries(q0._replace(decision=unknown), *rest), U, V, setup, strat)
@@ -369,7 +372,7 @@ def test_replay_checks_every_query_before_the_winner(pres, U, V, winner, other):
         with_queries(rest[0], q0, *rest[1:]),  # two queries swapped
         with_queries(q0._replace(decision=won.decision), *rest),  # a prefix Yes
         with_queries(q0._replace(decision=other_no), *rest),  # a No about another target
-        with_queries(q0._replace(decision=replace(unknown, p=0)), *rest),
+        with_queries(q0._replace(decision=unknown._replace(p=0)), *rest),
     ]
     for bad in forged:
         assert replay_trace(bad, U, V, setup, strat) is False, bad
@@ -384,8 +387,8 @@ def test_main_yeses_replay_only_whole():
         if res.yes and res.trace.branch == "main":
             yeses += 1
             assert replay_trace(res, u, v, setup, strat) is True, (u, v)
-            trace = replace(res.trace, queries=((None, "junk"),) + res.trace.queries)
-            assert replay_trace(replace(res, trace=trace), u, v, setup, strat) is False, (u, v)
+            trace = res.trace._replace(queries=((None, "junk"),) + res.trace.queries)
+            assert replay_trace(res._replace(trace=trace), u, v, setup, strat) is False, (u, v)
     assert yeses == 128
 
 
