@@ -29,6 +29,10 @@ from .words import (
 )
 
 
+# the default state budget of area_bounded, the search strategy and the CLI
+STATE_BUDGET = 100_000
+
+
 class VanKampenProduct(NamedTuple):
     """A product of conjugated relators: factors are (theta, relator) pairs."""
 
@@ -156,7 +160,7 @@ def area_bounded(
     w: str,
     maxM: int | None,
     pres: Presentation,
-    state_budget: int | None = 100_000,
+    state_budget: int | None = STATE_BUDGET,
 ) -> AreaResult:
     """Least-area product for w among products with at most maxM factors.
 

@@ -38,7 +38,7 @@ def _inv(w: str) -> str:
     return w[::-1].swapcase()
 
 
-def _pair_mul(*pairs) -> PairElement:
+def _pair_product(*pairs) -> PairElement:
     return PairElement(*(_reduce("".join(p[i] for p in pairs)) for i in (0, 1)))
 
 
@@ -170,7 +170,7 @@ def brute_p_conjugacy(
         nxt: list[PairElement] = []
         for g in frontier:
             for d in dirs:
-                h = _pair_mul(g, d)
+                h = _pair_product(g, d)
                 if h in visited:
                     continue
                 visited.add(h)
@@ -296,7 +296,7 @@ def random_instances(
             length = rng.randint(1, 2 * max_len)
             g = PairElement("", "")
             for _ in range(length):
-                g = _pair_mul(g, rng.choice(dirs))
+                g = _pair_product(g, rng.choice(dirs))
             if len(g.first) <= max_len and len(g.second) <= max_len:
                 return g
 
@@ -306,8 +306,8 @@ def random_instances(
         if flag:
             g = PairElement("", "")
             for _ in range(rng.randint(0, CONJ_LEN)):
-                g = _pair_mul(g, rng.choice(dirs))
-            v = _pair_mul(PairElement(*map(_inv, g)), u, g)
+                g = _pair_product(g, rng.choice(dirs))
+            v = _pair_product(PairElement(*map(_inv, g)), u, g)
             yield RandomInstance(u, v, True, g)
         else:
             yield RandomInstance(u, draw_pair(), False, None)

@@ -13,11 +13,13 @@ import argparse
 import random
 import sys
 
-from .area import area_bounded, dehn_function, rel_cyclics_dehn
-from .decisions import OracleUnknown, Verdict
+from .area import STATE_BUDGET, area_bounded, dehn_function, rel_cyclics_dehn
+from .decisions import Decision, OracleUnknown, Verdict
 from .oracle import (
     KINDS,
     auto_strategy,
+    check_decision,
+    check_power_decision,
     make_strategy,
     power_decide,
     wp_decide,
@@ -69,9 +71,7 @@ def parse_presentation(text: str) -> Presentation:
             for sym in symbols:
                 col = raw.index(sym, raw.index(":") + 1) + 1
                 if len(sym) != 1 or not ("a" <= sym <= "z"):
-                    raise CLIError(
-                        f"generator {sym!r} must be one lowercase letter", ln, col
-                    )
+                    raise CLIError(f"generator {sym!r} must be one lowercase letter", ln, col)
                 if sym in seen:
                     raise CLIError(f"duplicate generator {sym!r}", ln, col)
                 seen.append(sym)
@@ -92,9 +92,7 @@ def parse_presentation(text: str) -> Presentation:
                 pos = col - 1 + len(token)
                 relators.append((token, ln, col))
         else:
-            raise CLIError(
-                "expected a 'generators:' or 'relators:' line", ln, col0
-            )
+            raise CLIError("expected a 'generators:' or 'relators:' line", ln, col0)
     if gens is None:
         raise CLIError("missing generators line")
     words = []
@@ -133,7 +131,7 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-p", "--presentation", required=True)
     common.add_argument("--oracle", choices=KINDS)
-    common.add_argument("--budget", type=int, default=1_000_000)
+    common.add_argument("--budget", type=int, default=STATE_BUDGET)
     common.add_argument("--show-certificate", action="store_true")
     common.add_argument("--structured", action="store_true")
 
@@ -167,7 +165,7 @@ def _build_parser() -> _Parser:
 
     p = add("perturb", _run_perturb)
     p.add_argument("-w", "--word", required=True)
-    p.add_argument("--kmax", type=int, default=8)
+    p.add_argument("--kmax", type=int, default=PerturbConfig().k_max)
 
     add("root", _run_root, free_common).add_argument("-w", "--word", required=True)
 
@@ -332,40 +330,42 @@ def _run_gens(args, pres, strat) -> int:
 
 
 def _run_verify(args, pres, strat) -> int:
-    from .brute import (  # the references load only here, not on every query
-        brute_area,
-        brute_p_conjugacy,
-        brute_power,
-        brute_primitive_root,
-        random_instances,
-    )
+    from . import brute  # the references load only here, not on every query
 
     instances = agreements = disagreements = unknowns = 0
     rng = random.Random(args.seed)
 
     if args.what == "area":
         # the largest brute-force area over every reduced trivial word,
-        # against dehn_function, which asks about cyclically reduced ones only
+        # against dehn_function, which asks about cyclically reduced ones only;
+        # each word decision and each area witness must pass its checker
         brute_delta = 0
         for w in reduced_words(pres.generators, args.max_len):
             dec = wp_decide(w, pres, strat)
             if dec.unknown:
                 unknowns += 1
                 continue
+            if not check_decision(dec, w, pres):
+                instances += 1
+                disagreements += 1
+                print(f"disagree word={word_str(w)} engine={dec.verdict.name} checked=False")
+                continue
             if dec.no:
                 continue
             instances += 1
-            mine = area_bounded(w, None, pres, state_budget=args.budget).value
-            ref = brute_area(w, pres, max_states=args.budget)
-            if mine is None or ref is None:
+            res = area_bounded(w, None, pres, state_budget=args.budget)
+            ref = brute.brute_area(w, pres, max_states=args.budget)
+            if res.value is None or ref is None:
                 unknowns += 1
                 continue
             brute_delta = max(brute_delta, ref)
-            if mine == ref:
+            checked = check_decision(Decision(Verdict.YES, ("product", res.witness)), w, pres)
+            if checked and res.value == ref:
                 agreements += 1
             else:
                 disagreements += 1
-                print(f"disagree word={word_str(w)} engine={mine} brute={ref}")
+                print(f"disagree word={word_str(w)} engine={res.value} brute={ref} "
+                      f"checked={checked}")
         if not unknowns:
             instances += 1
             delta = dehn_function(args.max_len, pres, lambda w: wp_decide(w, pres, strat))
@@ -376,11 +376,10 @@ def _run_verify(args, pres, strat) -> int:
                 print(f"disagree dehn n={args.max_len} engine={delta} brute={brute_delta}")
     elif args.what == "conj":
         setup = canonical_setup(pres)
-        for inst in random_instances(setup, args.seed, args.count,
-                                     max_len=args.max_len):
+        for inst in brute.random_instances(setup, args.seed, args.count, max_len=args.max_len):
             instances += 1
             res = p_conjugacy(inst.pair_u, inst.pair_v, setup, strat)
-            ref = brute_p_conjugacy(inst.pair_u, inst.pair_v, setup)
+            ref = brute.brute_p_conjugacy(inst.pair_u, inst.pair_v, setup)
             if res.unknown:
                 unknowns += 1
                 continue
@@ -400,21 +399,20 @@ def _run_verify(args, pres, strat) -> int:
             if pd.unknown:
                 unknowns += 1
                 continue
-            ref = brute_power(w, u, pres, strat, max_abs_p=16)
-            if pd.yes and ref == pd.p:
-                agreements += 1
-            elif pd.no and ref is None:
+            ref = brute.brute_power(w, u, pres, strat, max_abs_p=16)
+            checked = check_power_decision(pd, w, u, pres)
+            if checked and ref == pd.p:  # a No has p None
                 agreements += 1
             else:
                 disagreements += 1
                 print(f"disagree w={word_str(w)} u={word_str(u)} "
-                      f"engine={pd.verdict.name}:{pd.p} brute={ref}")
+                      f"engine={pd.verdict.name}:{pd.p} brute={ref} checked={checked}")
     else:
         for _ in range(args.count):
             w = random_reduced_word(rng, pres.generators, rng.randint(1, args.max_len))
             instances += 1
             mine = primitive_root(w)
-            root, e = brute_primitive_root(w)
+            root, e = brute.brute_primitive_root(w)
             if (mine.root, mine.exponent) == (root, e):
                 agreements += 1
             else:

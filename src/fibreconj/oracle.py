@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .abelian import minimal_power, power_solutions
-from .area import VanKampenProduct, area_bounded, evaluate_vk_product
+from .area import STATE_BUDGET, VanKampenProduct, area_bounded, evaluate_vk_product
 from .decisions import Decision, PowerDecision, Verdict
 from .presentation import Presentation
 from .words import (
@@ -47,11 +47,11 @@ class StrategySpec(NamedTuple):
     """
 
     kind: str
-    budget: int = 1_000_000
+    budget: int = STATE_BUDGET
     exactness_claim: bool = False
 
 
-def make_strategy(pres: Presentation, kind: str, budget: int = 1_000_000) -> StrategySpec:
+def make_strategy(pres: Presentation, kind: str, budget: int = STATE_BUDGET) -> StrategySpec:
     """Validate the budget and the strategy/presentation pairing; fix the exactness flag.
 
     The budget is a positive int, not a bool: True == 1, but a bool is no count.
@@ -80,7 +80,7 @@ def _check_pairing(pres: Presentation, kind: str, exact: bool) -> None:
         raise ValueError(f"exactness claim {exact} does not fit a {kind} strategy here")
 
 
-def auto_strategy(pres: Presentation, budget: int = 1_000_000) -> StrategySpec:
+def auto_strategy(pres: Presentation, budget: int = STATE_BUDGET) -> StrategySpec:
     """Pick the strongest strategy the presentation certifiably supports."""
     if pres.certified_abelian:
         return make_strategy(pres, ABELIAN, budget)
@@ -426,11 +426,13 @@ def check_decision(dec: Decision, w: str, pres: Presentation) -> bool:
                 return False
             if dec.yes:
                 return replayed == terminal == ""
-            # under C'(1/6) a nonempty word that no rewrite shortens is nontrivial
+            # Greendlinger's lemma: under C'(1/6) a reduced word equal to 1 in Q
+            # holds more than half of a rotated relator, so a head of a marked
+            # rotation; the replayed word is reduced
             return (
                 replayed == terminal != ""
                 and check_c16(pres)
-                and dehn_greedy(terminal, pres) == terminal
+                and not any(s[: len(s) // 2 + 1] in terminal for s, _ in pres.marked_rotations)
             )
         case Decision(Verdict.YES, ("product", VanKampenProduct() as prod)):
             try:

@@ -26,7 +26,7 @@ class KMaxExhausted(Exception):
 
 
 class _PerturbConfigFields(NamedTuple):
-    k_max: int = 8
+    k_max: int  # its default is PerturbConfig.__new__'s
 
 
 class PerturbConfig(_PerturbConfigFields):

@@ -40,22 +40,6 @@ def validate_pair(pair, generators: str) -> PairElement:
     return PairElement(free_reduce(a), free_reduce(b))
 
 
-def pair_mul(*pairs) -> PairElement:
-    return PairElement(
-        mul(*(p[0] for p in pairs)),
-        mul(*(p[1] for p in pairs)),
-    )
-
-
-def pair_inverse(pair) -> PairElement:
-    return PairElement(inverse(pair[0]), inverse(pair[1]))
-
-
-def pair_conjugate(pair, g) -> PairElement:
-    """g^-1 * pair * g, coordinatewise."""
-    return pair_mul(pair_inverse(g), pair, g)
-
-
 class SubdirectSetup(NamedTuple):
     """The canonical fibre product P of a presentation."""
 
@@ -269,7 +253,7 @@ def replay_trace(result: ConjugacyResult, U, V, setup: SubdirectSetup, strat: St
     match result:
         case ConjugacyResult(Verdict.YES, PairElement(str(g1), str(g2)) as gamma, trace) if (
             letters.issuperset(g1 + g2)
-            and pair_conjugate(U, gamma) == V
+            and (mul(inverse(g1), U[0], g1), mul(inverse(g2), U[1], g2)) == V
             and p_membership(gamma, setup, strat).yes
         ):
             if not main:  # the coordinates are conjugate, so U has a trivial one

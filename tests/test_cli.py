@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: one line out, verdict-driven exit codes."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -7,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from fibreconj import cli
+from fibreconj import area, cli, oracle
 from fibreconj.cli import main
+from fibreconj.perturb import PerturbConfig
+from fibreconj.presentation import Presentation
 from fibreconj.subdirect import ConjugacyTrace, p_conjugacy
 from fibreconj.words import RootDecomposition, free_reduce, inverse
 
@@ -247,6 +250,53 @@ def test_verify_area_counts_a_wrong_dehn_function(capsys, monkeypatch):
         "disagree dehn n=4 engine=2 brute=1",
         "RESULT instances=10 agreements=9 disagreements=1 unknowns=0",
     ]
+
+
+def test_verify_area_counts_rejected_certificates(capsys, monkeypatch):
+    # every word decision goes to check_decision, and so does every area witness
+    # as a product Yes: a rejected one is a disagreement
+    monkeypatch.setattr(cli, "check_decision", lambda dec, w, pres: False)
+    code, out, _ = run(capsys, ["verify", "area", "-p", Z2, "--max-len", "2"])
+    assert code == 1
+    assert "disagree word=ab engine=NO checked=False" in out
+    assert "disagree word=1 engine=YES checked=False" in out
+    monkeypatch.setattr(cli, "check_decision", lambda dec, w, pres: dec.certificate[0] != "product")
+    code, out, _ = run(capsys, ["verify", "area", "-p", Z2, "--max-len", "4"])
+    assert code == 1
+    assert "disagree word=abAB engine=1 brute=1 checked=False" in out
+    assert out[-1] == "RESULT instances=10 agreements=1 disagreements=9 unknowns=0"
+
+
+def test_verify_power_counts_rejected_certificates(capsys, monkeypatch):
+    argv = ["verify", "power", "-p", G2, "--count", "20", "--seed", "2"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out[-1].startswith("RESULT instances=20 agreements=20 ")
+    monkeypatch.setattr(cli, "check_power_decision", lambda pd, w, u, pres: False)
+    code, out, _ = run(capsys, argv)
+    assert code == 1
+    assert out[-1] == "RESULT instances=20 agreements=0 disagreements=20 unknowns=0"
+    assert all(line.endswith(" checked=False") for line in out[:-1])
+
+
+def test_each_default_is_stated_once():
+    budget = area.STATE_BUDGET
+    assert oracle.StrategySpec("search").budget == budget
+    for f, name in ((oracle.make_strategy, "budget"), (oracle.auto_strategy, "budget"),
+                    (area.area_bounded, "state_budget")):
+        assert inspect.signature(f).parameters[name].default == budget, f
+    parser = cli._build_parser()
+    assert parser.parse_args(["wp", "-p", Z, "-w", "a"]).budget == budget
+    assert parser.parse_args(["perturb", "-p", Z, "-w", "a"]).kmax == PerturbConfig().k_max
+
+
+@pytest.mark.parametrize("pres, w, states", [
+    (Presentation("abcd", ("abABcdCD",)), "bBabABcdCD", 1),
+    (Presentation("ab", ("b",)), "aababABAAbABaBBaaBAAbABABaba", 5_649),
+], ids=["genus2", "z"])
+def test_ci_search_words_answer_yes_at_the_default_budget(pres, w, states):
+    dec = oracle.wp_decide(w, pres, oracle.make_strategy(pres, "search"))
+    assert dec.yes and oracle.check_decision(dec, w, pres)
+    assert area.area_bounded(w, None, pres).states == states
 
 
 def test_verify_conj(capsys):

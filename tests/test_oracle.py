@@ -1,5 +1,6 @@
 """Strategy selection, certification, greedy rewriting, and deciders."""
 
+import functools
 import random
 import re
 from pathlib import Path
@@ -352,6 +353,71 @@ def test_dehn_relator_of_a_thousand_letters():
     assert check_decision(dec, w, pres)
 
 
+def _near_heads(rng, pres: Presentation, count: int):
+    """Seeded reduced words, about half of them around a slice of a marked
+    rotation s that is a few letters shorter or longer than its head."""
+    rotations = [s for s, _ in pres.marked_rotations]
+    for _ in range(count):
+        w = random_reduced_word(rng, pres.generators, rng.randint(0, 12))
+        if rng.random() < 0.5:
+            s = rng.choice(rotations)
+            j = min(len(s), len(s) // 2 + rng.randint(-2, 3))
+            w = mul(w, s[:j], random_reduced_word(rng, pres.generators, rng.randint(0, 12)))
+        yield w
+
+
+@pytest.mark.parametrize("name", ["genus2", "long", "thousand"])
+def test_no_head_iff_the_rewrite_leaves_the_word(monkeypatch, name):
+    # the checker's Dehn-No condition against the engine: on a reduced word,
+    # no head s[:len(s) // 2 + 1] of a marked rotation occurs exactly when
+    # dehn_greedy changes nothing
+    pres = {
+        "genus2": G2,
+        "long": LONG,
+        "thousand": Presentation("ab", (seeded_relator(1000, "ab", 1000),)),
+    }[name]
+    monkeypatch.setattr(oracle, "check_c16", functools.cache(check_c16))  # 1.2 s a call at 1,000
+    heads = [s[: len(s) // 2 + 1] for s, _ in pres.marked_rotations]
+    kept = 0
+    for t in _near_heads(random.Random(7), pres, 300):
+        no_head = not any(h in t for h in heads)
+        assert no_head == (dehn_greedy(t, pres) == t), t
+        assert check_decision(Decision(Verdict.NO, ("dehn", (), t)), t, pres) == (no_head and t != "")
+        kept += no_head
+    assert 50 < kept < 250  # both sides of the condition are reached
+
+
+def test_dehn_no_with_a_head_in_its_terminal_word_is_rejected():
+    s = auto_strategy(G2)
+    # heads of the inverse relator dcDCbaBA and of the rotation cdCDabAB
+    for w in ("dcDCb", "cdCDa", "adcDCb"):
+        real = wp_decide(w, G2, s)
+        assert real.no and real.certificate[1] and check_decision(real, w, G2), w
+        assert not check_decision(Decision(Verdict.NO, ("dehn", (), w)), w, G2), w
+
+
+def test_dehn_no_check_tests_c16_once_and_never_rewrites(monkeypatch):
+    calls = []
+
+    def counted(pres):
+        calls.append(pres)
+        return check_c16(pres)
+
+    def no_rewrite(w, pres):
+        raise AssertionError("the checker ran the rewrite engine")
+
+    s = auto_strategy(G2)
+    real = [(wp_decide(w, G2, s), w, True) for w in ("ab", "dcDCb", "abABcdCDa")]
+    forged = [(Decision(Verdict.NO, ("dehn", (), w)), w, False) for w in ("dcDCb", "cdCDa")]
+    monkeypatch.setattr(oracle, "check_c16", counted)
+    monkeypatch.setattr(oracle, "dehn_greedy_trace", no_rewrite)
+    for dec, w, accepted in real + forged:
+        assert dec.no
+        calls.clear()
+        assert check_decision(dec, w, G2) == accepted, (dec, w)
+        assert calls == [G2], (dec, w)
+
+
 def test_dehn_requires_c16():
     with pytest.raises(ValueError):
         dehn_greedy("ab", Z2)
@@ -652,8 +718,8 @@ def test_forged_well_formed_certificates_are_rejected():
         assert not check_power_decision(PowerDecision(Verdict.YES, p, empty), w, "a", G2), w
     # "free" is no certificate tag, with relators or without
     assert not check_decision(Decision(Verdict.NO, ("free", "abABcdCD")), "abABcdCD", G2)
-    # a Dehn No must end in a word that no rewrite shortens: a truncated
-    # trace of a relator product does not
+    # a Dehn No must end in a word that holds no head of a marked rotation:
+    # a truncated trace of a relator product does not
     w = mul("c", "abABcdCD", "C")
     assert wp_decide(w, G2, s).yes
     assert not check_decision(Decision(Verdict.NO, ("dehn", (), w)), w, G2)
