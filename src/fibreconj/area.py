@@ -70,7 +70,6 @@ class AreaResult(NamedTuple):
 
     value: int | None
     witness: VanKampenProduct | None
-    bound_exhausted: bool
     states: int = 0
     budget_exhausted: bool = False
 
@@ -218,16 +217,16 @@ def area_bounded(
     validate_word(w, pres.generators)
     w = free_reduce(w)
     if w == "":
-        return AreaResult(0, VanKampenProduct(()), False)
+        return AreaResult(0, VanKampenProduct(()))
     if not pres.relators or maxM == 0:
-        return AreaResult(None, None, True)
+        return AreaResult(None, None)
 
     tables = pres.area_tables
     strings, forms = tables.strings, tables.forms
     gens = pres.generators
     # Every relator has zero exponent sum, so no product reaches w.
     if not tables.step and any(exponent_vector(w, gens)):
-        return AreaResult(None, None, True)
+        return AreaResult(None, None)
     # Read off the module, not imported by name: it runs for every child
     # state, and perfbench's tracer wraps the words functions a module
     # imports, which would record millions of spans per search.
@@ -238,7 +237,7 @@ def area_bounded(
     root_h, root_bound = _bounds(core, tables, gens)
     h0 = max(root_h, _core_bound(core, forms))
     if h0 > cap:
-        return AreaResult(None, None, True)
+        return AreaResult(None, None)
 
     n = len(strings)
     states = 0  # states generated by the contours searched so far
@@ -259,9 +258,7 @@ def area_bounded(
         best = None  # least-noise (product, noise) of the finishers tried
         while heap:
             if state_budget is not None and states + len(dist) > state_budget:
-                return AreaResult(
-                    None, None, False, states=states + len(dist), budget_exhausted=True
-                )
+                return AreaResult(None, None, states + len(dist), budget_exhausted=True)
             f, neg_g, order, v, resume = heappop(heap)
             g = -neg_g
             if dist[v] != g:
@@ -316,9 +313,9 @@ def area_bounded(
                     continue
                 break
         if m is not None:
-            return AreaResult(m, best[0], False, states=states + len(dist))
+            return AreaResult(m, best[0], states + len(dist))
         states += len(dist)
-    return AreaResult(None, None, True, states=states)
+    return AreaResult(None, None, states)
 
 
 def _factor_options(u: str, s: str, t: str, forms) -> list[tuple[str, str]]:

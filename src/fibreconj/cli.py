@@ -279,10 +279,12 @@ def _run_conj(args, pres, strat) -> int:
             d = conjugacy_words(U, V)
             print(f"x1={word_str(d.x1)} x2={word_str(d.x2)} w={word_str(d.w)}")
             print(f"z1={word_str(d.z1)}^{d.e1} z2={word_str(d.z2)}^{d.e2}")
-            for q in t.queries:
-                print(f"query j={q.j} target={word_str(q.target)} "
-                      f"verdict={q.decision.verdict.name} p={q.decision.p}")
-            print(f"winner: {t.winner}")
+            for j, pd in enumerate(t.queries):
+                print(f"query j={j} target={word_str(d.target(j))} "
+                      f"verdict={pd.verdict.name} p={pd.p}")
+            # a Yes ends the scan; res.yes also needs the conjugator's membership
+            won = t.queries[-1]
+            print(f"winner: {(len(t.queries) - 1, won.p) if won.yes else None}")
     return _EXIT[res.verdict]
 
 

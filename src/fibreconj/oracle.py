@@ -201,7 +201,8 @@ def replay_dehn_trace(w: str, steps, pres: Presentation) -> str:
     w = free_reduce(w)
     for pos, mark, j in steps:
         # w[-1:] and w[True:] would slice too, and (False, True, 0) == (0, 1, 0)
-        if not (type(pos) is int and 0 <= pos and type(j) is int and _int_vector(mark)):
+        if not (type(pos) is int and 0 <= pos and type(j) is int
+                and all(type(x) is int for x in mark)):
             raise ValueError(f"step {(pos, mark, j)!r} is no index, mark and length")
         s = marks[mark]
         if not (len(s) // 2 < j <= len(s)):
@@ -228,11 +229,10 @@ def wp_decide(w: str, pres: Presentation, strat: StrategySpec) -> Decision:
     validate_word(w, pres.generators)
 
     if strat.kind == ABELIAN:
-        residues = pres.abelian_model.residues(w)
-        if any(residues):
-            return Decision(Verdict.NO, ("abelian", residues))
+        if any(pres.abelian_model.residues(w)):
+            return Decision(Verdict.NO, ("abelian",))
         if strat.exactness_claim:
-            return Decision(Verdict.YES, ("abelian", residues))
+            return Decision(Verdict.YES, ("abelian",))
         return Decision(Verdict.UNKNOWN, ("budget", "abelianization inconclusive"))
 
     if strat.kind == DEHN:
@@ -294,21 +294,16 @@ def power_decide(w: str, u: str, pres: Presentation, strat: StrategySpec) -> Pow
         return _freely_trivial(0)
 
     if not pres.relators:  # a free group: compare primitive roots
-        if u == "":
-            return PowerDecision(Verdict.NO, None, ("roots", None))
-        rw = primitive_root(w)
-        ru = primitive_root(u)
-        if rw.exponent % ru.exponent == 0 and rw.root in (ru.root, inverse(ru.root)):
-            p = rw.exponent // ru.exponent
-            return _freely_trivial(p if rw.root == ru.root else -p)
-        roots = (rw.root, rw.exponent, ru.root, ru.exponent)
-        return PowerDecision(Verdict.NO, None, ("roots", roots))
+        p = _free_power(w, u)
+        if p is None:
+            return PowerDecision(Verdict.NO, None, ("roots",))
+        return _freely_trivial(p)
 
     if strat.kind == ABELIAN:
         model = pres.abelian_model
         sol = power_solutions(model, w, u)
         if sol is None:
-            return PowerDecision(Verdict.NO, None, ("lattice", model.coords(w), model.coords(u)))
+            return PowerDecision(Verdict.NO, None, ("lattice",))
         if not strat.exactness_claim:
             return PowerDecision(Verdict.UNKNOWN, None, ("budget", "abelianization inconclusive"))
         p = minimal_power(sol)
@@ -318,6 +313,22 @@ def power_decide(w: str, u: str, pres: Presentation, strat: StrategySpec) -> Pow
         return PowerDecision(Verdict.YES, p, ("power", dec))
 
     return _power_by_scan(w, u, pres, strat)
+
+
+def _free_power(w: str, u: str) -> int | None:
+    """The p with w = u^p in F for reduced nonempty w, or None; u = 1 has none.
+
+    In a free group w = u^p iff their primitive roots agree up to
+    inversion and the exponent of u's root divides that of w's.
+    """
+    if u == "":
+        return None
+    rw = primitive_root(w)
+    ru = primitive_root(u)
+    if rw.exponent % ru.exponent or rw.root not in (ru.root, inverse(ru.root)):
+        return None
+    p = rw.exponent // ru.exponent
+    return p if rw.root == ru.root else -p
 
 
 def _freely_trivial(p: int) -> PowerDecision:
@@ -393,11 +404,6 @@ def _spelled_in(pres: Presentation, *words: str) -> bool:
     return word_letters(pres.generators).issuperset("".join(words))
 
 
-def _int_vector(v: tuple) -> bool:
-    """True when every entry is an int proper: False == 0, but a bool is no exponent."""
-    return all(type(x) is int for x in v)
-
-
 def check_decision(dec: Decision, w: str, pres: Presentation) -> bool:
     """Independently validate a word-problem certificate against w.
 
@@ -405,7 +411,9 @@ def check_decision(dec: Decision, w: str, pres: Presentation) -> bool:
     verdict it may back; any other decision is rejected, and so is
     every decision about a word outside the generators.  An Unknown
     passes only as ("budget", reason), the shape the engines give it.
-    A residue vector and a Dehn step must hold ints proper, not bools.
+    ("abelian",) is judged on w alone: a No when w's residues are not
+    zero, a Yes when they are and Q is certifiably abelian.  A Dehn step
+    must hold ints proper, not bools.
     """
     if not _spelled_in(pres, w):
         return False
@@ -413,12 +421,10 @@ def check_decision(dec: Decision, w: str, pres: Presentation) -> bool:
     match dec:
         case Decision(Verdict.UNKNOWN, ("budget", str())):
             return True
-        case Decision(Verdict.YES | Verdict.NO, ("abelian", tuple(residues))) if (
-            _int_vector(residues)
-            and (dec.no or pres.certified_abelian)  # zero residues prove w = 1 only then
+        case Decision(Verdict.YES | Verdict.NO, ("abelian",)) if (
+            dec.no or pres.certified_abelian  # zero residues prove w = 1 only then
         ):
-            actual = pres.abelian_model.residues(w)
-            return residues == actual and dec.yes != any(actual)
+            return dec.yes != any(pres.abelian_model.residues(w))
         case Decision(Verdict.YES | Verdict.NO, ("dehn", tuple(steps), str(terminal))):
             try:
                 replayed = replay_dehn_trace(w, steps, pres)
@@ -448,9 +454,12 @@ def check_power_decision(pd: PowerDecision, w: str, u: str, pres: Presentation) 
     As in check_decision, each case matches one whole certificate shape
     together with the verdict it may back; any other decision is rejected,
     and so is every decision about words outside the generators.  An
-    Unknown passes only with exponent None and ("budget", reason).  An
-    exponent, and every entry of a coordinate vector, must be an int
-    proper: True == 1, but a bool is no exponent.
+    Unknown passes only with exponent None and ("budget", reason).
+    ("roots",) and ("lattice",) are judged on w and u alone: the first
+    over a free group, where w is nontrivial and no power of u by their
+    primitive roots, the second where w = u^p has no solution in the
+    abelianization.  An exponent must be an int proper: True == 1, but a
+    bool is no exponent.
     """
     if not _spelled_in(pres, w, u):
         return False
@@ -463,22 +472,10 @@ def check_power_decision(pd: PowerDecision, w: str, u: str, pres: Presentation) 
             Verdict.YES, int(p), ("power", Decision(Verdict.YES) as inner)
         ) if type(p) is int:
             return check_decision(inner, mul(w, inverse(power(u, p))), pres)
-        case PowerDecision(Verdict.NO, None, ("roots", None)) if not pres.relators:
-            return u == "" and w != ""
-        case PowerDecision(Verdict.NO, None, ("roots", tuple(roots))) if (
-            not pres.relators and w and u and _int_vector(roots[1::2])
-        ):
-            rw = primitive_root(w)
-            ru = primitive_root(u)
-            fits = rw.exponent % ru.exponent == 0 and rw.root in (ru.root, inverse(ru.root))
-            return roots == (rw.root, rw.exponent, ru.root, ru.exponent) and not fits
-        case PowerDecision(Verdict.NO, None, ("lattice", tuple(cw), tuple(cu))) if (
-            _int_vector(cw) and _int_vector(cu)
-        ):
-            model = pres.abelian_model
-            return (cw, cu) == (model.coords(w), model.coords(u)) and (
-                power_solutions(model, w, u) is None
-            )
+        case PowerDecision(Verdict.NO, None, ("roots",)) if not pres.relators:
+            return w != "" and _free_power(w, u) is None
+        case PowerDecision(Verdict.NO, None, ("lattice",)):
+            return power_solutions(pres.abelian_model, w, u) is None
         case PowerDecision(Verdict.NO, None, ("commutator", Decision(Verdict.NO) as comm)):
             return check_decision(comm, mul(w, u, inverse(w), inverse(u)), pres)
         case PowerDecision(

@@ -70,15 +70,6 @@ def p_membership(pair, setup: SubdirectSetup, strat: StrategySpec) -> Decision:
     return q_equal(a, b, setup.pres, strat)
 
 
-class PowerQuery(NamedTuple):
-    """One power-problem probe made while searching for a conjugator: the
-    decision whether target is a power of z1 in Q."""
-
-    j: int
-    target: str
-    decision: PowerDecision
-
-
 class ConjugacyWords(NamedTuple):
     """Free conjugators x_i (None if u_i, v_i are not conjugate in F) and,
     on the main branch only, w = x1 * x2^-1 and the roots u_i = z_i^e_i."""
@@ -114,14 +105,13 @@ class ConjugacyTrace(NamedTuple):
     """What p_conjugacy decided; conjugacy_words re-derives its words from U and V.
 
     branch is one of "coords", "deg-first", "deg-second", "main".  For
-    the main branch the queries record each probe "z2^j * w^-1 is a
-    power of z1 in Q", and winner holds the (j, p) pair that produced
-    the conjugator, if any.
+    the main branch, entry j of queries is the decision whether
+    z2^j * w^-1 is a power of z1 in Q.  A Yes ends the scan, so only the
+    last entry can be one, and its (j, p) rebuilds the conjugator.
     """
 
     branch: str
-    queries: tuple[PowerQuery, ...] = ()
-    winner: tuple[int, int] | None = None
+    queries: tuple[PowerDecision, ...] = ()
 
 
 class _ConjugacyResultFields(NamedTuple):
@@ -191,41 +181,32 @@ def p_conjugacy(U, V, setup: SubdirectSetup, strat: StrategySpec) -> ConjugacyRe
     # u_i; such a pair lies in P iff z1^p * w = z2^q in Q, w = x1 * x2^-1.
     # Since u2 = z2^e2 equals u1 = z1^e1 in Q, shifting q by e2 shifts p
     # by e1, so scanning q = j in [0, e2) loses nothing.
-    queries: list[PowerQuery] = []
-    winner = None
+    queries: list[PowerDecision] = []
     saw_unknown = False
     for j in range(words.e2):
-        tgt = words.target(j)
-        pd: PowerDecision = power_decide(tgt, words.z1, setup.pres, strat)
-        queries.append(PowerQuery(j, tgt, pd))
+        pd = power_decide(words.target(j), words.z1, setup.pres, strat)
+        queries.append(pd)
         if pd.yes:
-            winner = (j, pd.p)
-            break
+            trace = ConjugacyTrace("main", tuple(queries))
+            return _finish(U, V, words.conjugator(j, pd.p), trace, setup, strat)
         if pd.unknown:
             saw_unknown = True
 
-    trace = ConjugacyTrace("main", tuple(queries), winner)
-    if winner is not None:
-        return _finish(U, V, words.conjugator(*winner), trace, setup, strat)
+    trace = ConjugacyTrace("main", tuple(queries))
     return ConjugacyResult(Verdict.UNKNOWN if saw_unknown else Verdict.NO, None, trace)
 
 
-def _replays_query(q, j: int, verdicts, p, words: ConjugacyWords, pres) -> bool:
-    """q is main-branch query j about z2^j * w^-1, holding a decision with one
-    of these verdicts and this exponent that check_power_decision accepts
-    for z1."""
-    match q:
-        case PowerQuery(int(k), str(tgt), PowerDecision() as dec) if type(k) is int:
-            fits = (k, tgt, dec.p) == (j, words.target(j), p) and dec.verdict in verdicts
-            return fits and check_power_decision(dec, tgt, words.z1, pres)
-    return False
+def _replays_query(pd, j: int, verdicts, words: ConjugacyWords, pres) -> bool:
+    """check_power_decision accepts pd for main-branch query j, about
+    z2^j * w^-1 and z1, and pd has one of these verdicts."""
+    return check_power_decision(pd, words.target(j), words.z1, pres) and pd.verdict in verdicts
 
 
 def _bare(trace, branch: str) -> bool:
     """trace is ConjugacyTrace(branch), matched by class: a plain tuple
     equals the record of its fields, but is no trace."""
     match trace:
-        case ConjugacyTrace(b, tuple(()), None):
+        case ConjugacyTrace(b, tuple(())):
             return b == branch
     return False
 
@@ -235,15 +216,15 @@ def replay_trace(result: ConjugacyResult, U, V, setup: SubdirectSetup, strat: St
 
     Its words and its branch come from U and V, never from the result.
     A Yes replays when its conjugator, over the generators, takes U to V
-    inside P; on the main branch the winner (j, p), ints and not bools
-    with 0 <= j < e2, must rebuild it, and the queries must be
-    k = 0 ... j: each k < j holding a No or an Unknown, as the scan went
-    on past them, and query j a Yes with exponent p.  A main No replays
-    when its queries are j = 0 ... e2-1, each holding a No: q matters
-    only mod e2 in the conjugators (z1^p * x1, z2^q * x2).  Query k must
-    be about z2^k * w^-1, with a decision that check_power_decision
-    accepts for z1.  A coords No replays when some u_i is not conjugate
-    to v_i in F.  Returns False on any other result.
+    inside P.  On the main branch its queries must be k = 0 ... j for
+    some j < e2: each k < j a No or an Unknown, as the scan went on past
+    them, and query j a Yes whose exponent p rebuilds the conjugator
+    with j.  A main No replays when its queries are k = 0 ... e2-1, each
+    a No: q matters only mod e2 in the conjugators (z1^p * x1, z2^q * x2).
+    Query k is the PowerDecision at index k, and check_power_decision
+    must accept it for z2^k * w^-1 and z1.  A coords No replays when
+    some u_i is not conjugate to v_i in F.  Returns False on any other
+    result.
     """
     U = validate_pair(U, setup.pres.generators)
     V = validate_pair(V, setup.pres.generators)
@@ -259,22 +240,21 @@ def replay_trace(result: ConjugacyResult, U, V, setup: SubdirectSetup, strat: St
             if not main:  # the coordinates are conjugate, so U has a trivial one
                 return _bare(trace, "deg-first" if U[0] == "" else "deg-second")
             match trace:
-                case ConjugacyTrace("main", (*missed, won), (int(j), int(p))) if (
-                    type(j) is type(p) is int and len(missed) == j < words.e2
-                ):
+                case ConjugacyTrace("main", tuple((*missed, won))) if len(missed) < words.e2:
+                    j = len(missed)
                     missed_verdicts = (Verdict.NO, Verdict.UNKNOWN)
                     return (
                         all(
-                            _replays_query(q, k, missed_verdicts, None, words, setup.pres)
-                            for k, q in enumerate(missed)
+                            _replays_query(pd, k, missed_verdicts, words, setup.pres)
+                            for k, pd in enumerate(missed)
                         )
-                        and _replays_query(won, j, (Verdict.YES,), p, words, setup.pres)
-                        and words.conjugator(j, p) == gamma
+                        and _replays_query(won, j, (Verdict.YES,), words, setup.pres)
+                        and words.conjugator(j, won.p) == gamma
                     )
-        case ConjugacyResult(Verdict.NO, None, ConjugacyTrace("main", tuple(queries), None)) if main:
+        case ConjugacyResult(Verdict.NO, None, ConjugacyTrace("main", tuple(queries))) if main:
             return len(queries) == words.e2 and all(
-                _replays_query(q, j, (Verdict.NO,), None, words, setup.pres)
-                for j, q in enumerate(queries)
+                _replays_query(pd, j, (Verdict.NO,), words, setup.pres)
+                for j, pd in enumerate(queries)
             )
         case ConjugacyResult(Verdict.NO, None, trace) if _bare(trace, "coords"):
             return words.x1 is None or words.x2 is None

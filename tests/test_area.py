@@ -103,7 +103,7 @@ def test_area_spot_values():
 
 def test_area_bound_exhausted():
     res = area_bounded("aabbAABB", 2, Z2)
-    assert res.value is None and res.bound_exhausted
+    assert res.value is None and not res.budget_exhausted
     res = area_bounded("ab", 0, Z2)
     assert res.value is None
     # no relators: nothing nonempty is trivial
@@ -157,7 +157,7 @@ def test_area_search_states():
     # a word with nonzero exponent sum cannot be a product of relators
     # that all have zero exponent sum
     res = area_bounded("aab", None, Z2)
-    assert res.value is None and res.bound_exhausted and res.states == 0
+    assert res.value is None and not res.budget_exhausted and res.states == 0
 
 
 def test_area_contour_restart(monkeypatch):
@@ -197,9 +197,9 @@ def test_area_contour_restart(monkeypatch):
         _check_witness(w, res, ZA3)
         # the first contour alone builds the root only
         first = area_bounded(w, 2, ZA3)
-        assert first.value is None and first.bound_exhausted and first.states == 1
+        assert first.value is None and not first.budget_exhausted and first.states == 1
         below = area_bounded(w, m - 1, ZA3)
-        assert below.value is None and below.bound_exhausted
+        assert below.value is None and not below.budget_exhausted
         assert first.states <= below.states < res.states
 
 
@@ -259,11 +259,11 @@ def _reference_area(w, pres, lazy=True, state_budget=100_000):
     """
     w = free_reduce(w)
     if w == "":
-        return area.AreaResult(0, VanKampenProduct(()), False)
+        return area.AreaResult(0, VanKampenProduct(()))
     tables = pres.area_tables
     strings, forms, gens = tables.strings, tables.forms, pres.generators
     if not tables.step and any(exponent_vector(w, gens)):
-        return area.AreaResult(None, None, True)
+        return area.AreaResult(None, None)
     core, t = cyclic_reduce(w)
     h0 = max(area._bounds(core, tables, gens)[0], area._core_bound(core, forms))
     n = len(strings)
@@ -278,7 +278,7 @@ def _reference_area(w, pres, lazy=True, state_budget=100_000):
         tried = 0
         while heap:
             if state_budget is not None and states + len(dist) > state_budget:
-                return area.AreaResult(None, None, False, states + len(dist), True)
+                return area.AreaResult(None, None, states + len(dist), True)
             f, neg_g, order, v, start = heappop(heap)
             g = -neg_g
             if dist[v] != g:
@@ -291,7 +291,7 @@ def _reference_area(w, pres, lazy=True, state_budget=100_000):
                     tried += 1
                     prod = _reference_witness(w, t, m, v, parents, tables, pres)
                     if prod is not None:
-                        return area.AreaResult(m, prod, False, states + len(dist))
+                        return area.AreaResult(m, prod, states + len(dist))
                 continue
             g1 = g + 1
             bound = area._bounds(v, tables, gens)[1]
@@ -320,7 +320,7 @@ def _reference_area(w, pres, lazy=True, state_budget=100_000):
                     break
         assert m is None
         states += len(dist)
-    return area.AreaResult(None, None, True, states=states)
+    return area.AreaResult(None, None, states)
 
 
 def _relator_products(pres, count, rng):

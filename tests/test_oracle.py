@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import pad, seeded_relator
 from fibreconj import area, oracle, words
-from fibreconj.abelian import abelian_model
 from fibreconj.area import VanKampenProduct, area_bounded
+from fibreconj.brute import brute_power
 from fibreconj.cli import parse_presentation_file
 from fibreconj.decisions import Decision, PowerDecision, Verdict
 from fibreconj.oracle import (
@@ -624,8 +624,8 @@ def test_forged_abelian_yes_is_rejected():
     # abAB is nontrivial in <a,b | aabbAABB>, but its abelian image is zero
     pres = Presentation("ab", ("aabbAABB",))
     assert not pres.certified_abelian
-    model = abelian_model(pres.generators, pres.relators)
-    forged = Decision(Verdict.YES, ("abelian", model.residues("abAB")))
+    forged = Decision(Verdict.YES, ("abelian",))
+    assert not any(pres.abelian_model.residues("abAB"))
     assert not check_decision(forged, "abAB", pres)
     # an abelian No stays sound without the certification
     dec = wp_decide("a", pres, make_strategy(pres, "abelian"))
@@ -659,8 +659,12 @@ def test_malformed_certificates_are_rejected():
         (Decision(Verdict.YES, ("product", VanKampenProduct(None))), "abAB", Z2),
         (Decision(Verdict.YES, ("product", VanKampenProduct(((None, "abAB"),)))), "abAB", Z2),
         (Decision(Verdict.YES, ("free",)), "", FREE),
-        (Decision(Verdict.NO, ("abelian",)), "a", Z2),
-        (Decision(Verdict.YES, ("abelian",)), "abAB", Z2),
+        # a No for a trivial word, a Yes for a nontrivial one, and a Yes over a
+        # group that is not certifiably abelian, though abABcdCD = 1 there
+        (Decision(Verdict.NO, ("abelian",)), "abAB", Z2),
+        (Decision(Verdict.YES, ("abelian",)), "a", Z2),
+        (Decision(Verdict.YES, ("abelian",)), "abABcdCD", G2),
+        (Decision(Verdict.YES, ("abelian", (0, 0))), "abAB", Z2),  # the former residues
         (None, "ab", G2),
         (power_decide("b", "a", G2, s), "b", G2),  # a power decision is no decision
     ]
@@ -675,10 +679,13 @@ def test_malformed_certificates_are_rejected():
         (PowerDecision(no, None, ("order", 3, None, None)), "b", "a", ZXZ3),
         (PowerDecision(no, None, ("order", 3, dk, (1,))), "b", "a", ZXZ3),
         (PowerDecision(no, None, ("order", 0, dk, ())), "b", "a", ZXZ3),
-        (PowerDecision(no, None, ("roots",)), "aba", "ab", FREE),
-        (PowerDecision(no, None, ("roots", ("a", 1, "", 0))), "a", "", FREE),
+        # Nos where w = u^p: abab = (ab)^2, ab = a over Z, 1 = u^0
+        (PowerDecision(no, None, ("roots",)), "abab", "ab", FREE),
+        (PowerDecision(no, None, ("roots",)), "", "", FREE),
+        (PowerDecision(no, None, ("lattice",)), "ab", "a", Z),
+        (PowerDecision(no, None, ("roots",)), "ab", "b", Z),  # roots speak for free groups only
+        (PowerDecision(no, None, ("roots", ("a", 1, "", 0))), "a", "", FREE),  # the former roots
         (PowerDecision(no, None, ("abelian",)), "ab", "b", Z),
-        (PowerDecision(no, None, ("lattice",)), "ab", "b", Z),
         (PowerDecision(no, None, ("exhausted", 4, ())), "a" * 9, "aa", G2),
         (PowerDecision(Verdict.YES, 2, ("power", Decision(Verdict.YES, ("dehn", None, "")))),
          "aa", "a", G2),
@@ -689,7 +696,7 @@ def test_malformed_certificates_are_rejected():
         (PowerDecision(Verdict.YES, 4, ("power", 4, four.certificate[1])), "aaaa", "a", G2),
         (PowerDecision(Verdict.YES, 2, ("power", 2, ("roots", ("ab", 2, "ab", 1)))),
          "abab", "ab", FREE),
-        (PowerDecision(no, None, ("lattice", (), ())), "ab", "b", Z),
+        (PowerDecision(no, None, ("lattice", (1, 1), (0, 1))), "ab", "b", Z),  # the former vectors
     ]
     for pd, w, u, pres in powers:
         assert check_power_decision(pd, w, u, pres) is False, pd
@@ -764,17 +771,6 @@ def test_bool_exponents_are_rejected():
     for k, p, ok in ((1, 0, True), (True, 0, False), (1, False, False)):
         order = PowerDecision(Verdict.NO, None, ("order", k, dk, ((p, db),)))
         assert check_power_decision(order, "b", "aaa", ZXZ3) is ok, order
-    # (False, False) == (0, 0): bools are no entries of residue or coordinate vectors
-    for cert, w, ok in (
-        (Decision(Verdict.YES, ("abelian", (0, 0))), "abAB", True),
-        (Decision(Verdict.YES, ("abelian", (False, False))), "abAB", False),
-        (Decision(Verdict.NO, ("abelian", (1, 0))), "a", True),
-        (Decision(Verdict.NO, ("abelian", (True, False))), "a", False),
-    ):
-        assert check_decision(cert, w, Z2) is ok, cert
-    for cw, cu, ok in (((1, 0), (0, 1), True), ((True, False), (False, True), False)):
-        lattice = PowerDecision(Verdict.NO, None, ("lattice", cw, cu))
-        assert check_power_decision(lattice, "a", "b", Z2) is ok, lattice
     # (False, True, 0) == (0, 1, 0) and True == 1: bools are no Dehn step entries
     for step, w, pres, ok in (
         ((0, (0, 1, 0), 8), "abABcdCD", G2, True),
@@ -784,15 +780,49 @@ def test_bool_exponents_are_rejected():
     ):
         dehn = Decision(Verdict.YES, ("dehn", (step,), ""))
         assert check_decision(dehn, w, pres) is ok, dehn
-    # ab is no power of ba in a free group; the roots have exponents 1, not True
-    for roots, ok in ((("ab", 1, "ba", 1), True), (("ab", True, "ba", True), False)):
-        pd = PowerDecision(Verdict.NO, None, ("roots", roots))
-        assert check_power_decision(pd, "ab", "ba", FREE) is ok, pd
+
+
+@pytest.mark.parametrize("pres", [FREE_TXT, Z2, ZXZ3, G2], ids=["free", "z2", "zxz3", "genus2"])
+def test_tag_only_nos_are_judged_on_truth(pres):
+    # ("roots",), ("lattice",) and ("abelian",) hold nothing but their tag, so
+    # the checker must judge them on w and u: accepted whenever an engine
+    # emits them, and never when brute_power finds an exponent, nor for a
+    # word that such an exponent makes trivial
+    exact = auto_strategy(pres)
+    strategies = {exact, make_strategy(pres, "abelian")}
+    rng = random.Random(30)
+    gens = pres.generators
+    emitted, refuted = set(), 0
+    for _ in range(60):
+        u = random_reduced_word(rng, gens, rng.choice((0, 1, 2, 3)))
+        w = random_reduced_word(rng, gens, rng.randint(0, 4))
+        if rng.random() < 0.5:
+            w = mul(power(u, rng.randint(-3, 3)), w if rng.random() < 0.3 else "")
+        ref = brute_power(w, u, pres, exact, max_abs_p=16)
+        trivial = None if ref is None else mul(w, inverse(power(u, ref)))
+        for strat in strategies:
+            pd = power_decide(w, u, pres, strat)
+            dec = wp_decide(w, pres, strat)
+            if pd.certificate in (("roots",), ("lattice",)):
+                emitted.add(pd.certificate)
+                assert check_power_decision(pd, w, u, pres), (w, u, pd)
+            if dec.certificate == ("abelian",) and dec.no:
+                emitted.add(dec.certificate)
+                assert check_decision(dec, w, pres), (w, dec)
+        for tag in ("roots", "lattice"):
+            ok = check_power_decision(PowerDecision(Verdict.NO, None, (tag,)), w, u, pres)
+            assert not (ok and ref is not None), (tag, w, u, ref)
+        if trivial is not None:
+            refuted += 1
+            assert not check_decision(Decision(Verdict.NO, ("abelian",)), trivial, pres), trivial
+    assert refuted >= 20
+    power_tag = ("roots",) if pres is FREE_TXT else ("lattice",)
+    assert emitted == {power_tag, ("abelian",)}
 
 
 def test_certificates_for_words_outside_the_generators_are_rejected():
     # each certificate would fit x if x were a letter of the presentation
-    zero = Decision(Verdict.YES, ("abelian", (0, 0)))
+    zero = Decision(Verdict.YES, ("abelian",))
     assert not check_decision(zero, "x", Z2)
     assert not check_power_decision(PowerDecision(Verdict.YES, 0, ("power", zero)), "x", "a", Z2)
     empty = Decision(Verdict.YES, ("product", VanKampenProduct(())))

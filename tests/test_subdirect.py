@@ -13,7 +13,6 @@ from fibreconj.subdirect import (
     ConjugacyResult,
     ConjugacyTrace,
     PairElement,
-    PowerQuery,
     canonical_setup,
     conjugacy_words,
     p_conjugacy,
@@ -68,7 +67,7 @@ def test_conjugacy_worked_example():
         assert free_reduce(inverse(g[i]) + "b" + g[i]) == "abA"
     assert p_membership(g, setup, strat).yes
     assert res.trace.branch == "main"
-    assert res.trace.winner is not None
+    assert res.trace.queries[-1].yes
     assert replay_trace(res, ("b", "b"), ("abA", "abA"), setup, strat)
 
 
@@ -77,7 +76,7 @@ def test_conjugacy_negative_example():
     res = p_conjugacy(("b", "b"), ("abA", "b"), setup, strat)
     assert res.no
     assert res.trace.branch == "main"
-    assert all(q.decision.verdict.name == "NO" for q in res.trace.queries)
+    assert all(pd.no for pd in res.trace.queries)
 
 
 def test_conjugacy_coordinate_obstruction():
@@ -118,12 +117,13 @@ def test_conjugacy_degenerate_branches():
     # the branch must be the one U takes, and a degenerate trace holds nothing else
     for bad, (u, v) in (
         (res._replace(trace=ConjugacyTrace("deg-second")), (U, V)),
-        (res._replace(trace=ConjugacyTrace("deg-first", winner=(0, 0))), (U, V)),
+        (res._replace(trace=ConjugacyTrace("deg-first", (power_decide("a", "b", Z2, strat),))),
+         (U, V)),
         (res2._replace(trace=ConjugacyTrace("deg-first")), (U2, V2)),
         (res2._replace(trace=ConjugacyTrace("deg-second", ((0, "", None),))), (U2, V2)),
         # plain tuples equal to the right traces, but no ConjugacyTrace
-        (res._replace(trace=("deg-first", (), None)), (U, V)),
-        (res2._replace(trace=("deg-second", (), None)), (U2, V2)),
+        (res._replace(trace=("deg-first", ())), (U, V)),
+        (res2._replace(trace=("deg-second", ())), (U2, V2)),
     ):
         assert replay_trace(bad, u, v, setup, strat) is False, bad
 
@@ -179,7 +179,9 @@ def test_replay_rejects_malformed_results():
     res = p_conjugacy(U, V, setup, strat)
     assert res.yes and res.trace.branch == "main"
     trace = res.trace
-    j, p = trace.winner
+    *missed, won = trace.queries
+    no = power_decide("a", "b", Z, strat)  # a real No about a, not about query 0's target
+    assert no.no
     forged = [
         res._replace(trace=None),
         res._replace(conjugator=None),
@@ -188,11 +190,10 @@ def test_replay_rejects_malformed_results():
         # a true Yes, but U is on the main branch
         res._replace(trace=ConjugacyTrace("deg-first")),
         res._replace(trace=trace._replace(branch="deg-second")),
-        res._replace(trace=trace._replace(winner=None)),
-        res._replace(trace=trace._replace(winner=("x", p))),
-        res._replace(trace=trace._replace(winner=(j, p, 0))),
-        res._replace(trace=trace._replace(winner=(j + 1, p))),
-        res._replace(trace=trace._replace(winner=(j, p + 1))),
+        # the last query a No, so no query rebuilds the conjugator
+        res._replace(trace=trace._replace(queries=(*missed, no))),
+        # the exponent of the last query forged
+        res._replace(trace=trace._replace(queries=(*missed, won._replace(p=won.p + 1)))),
         res._replace(trace=trace._replace(queries=())),
         res._replace(trace=trace._replace(queries=None)),
         res._replace(trace=trace._replace(queries=(None,))),
@@ -209,17 +210,11 @@ def test_replay_rejects_malformed_results():
     assert replay_trace(deg, empty, empty, setup, strat) is False
     U, V = ("Ba", "BBBab"), ("aBBabA", "aBaBBBabAbA")
     res = p_conjugacy(U, V, setup, strat)
-    assert res.trace.winner == (0, -1) and replay_trace(res, U, V, setup, strat) is True
+    assert [pd.p for pd in res.trace.queries] == [-1]
+    assert replay_trace(res, U, V, setup, strat) is True
     gamma = res.conjugator
-    for bad in (
-        # False == 0, but a bool is no exponent
-        res._replace(trace=res.trace._replace(winner=(False, -1))),
-        res._replace(trace=res.trace._replace(queries=(
-            res.trace.queries[-1]._replace(target=res.trace.queries[-1].target + "xX"),
-        ))),
-        res._replace(conjugator=PairElement(gamma.first + "xX", gamma.second)),
-    ):
-        assert replay_trace(bad, U, V, setup, strat) is False, bad
+    bad = res._replace(conjugator=PairElement(gamma.first + "xX", gamma.second))
+    assert replay_trace(bad, U, V, setup, strat) is False
 
 
 def test_replay_checks_the_winning_decision():
@@ -228,26 +223,54 @@ def test_replay_checks_the_winning_decision():
     res = p_conjugacy(U, V, setup, strat)
     assert res.yes and res.trace.branch == "main" and replay_trace(res, U, V, setup, strat)
     trace = res.trace
-    j, p = trace.winner
-    won = trace.queries[-1]
-    assert (won.j, won.decision.p) == (j, p)
-    z1 = conjugacy_words(validate_pair(U, "abcd"), validate_pair(V, "abcd")).z1
+    *missed, won = trace.queries
+    j = len(missed)
+    Ur, Vr = validate_pair(U, "abcd"), validate_pair(V, "abcd")
+    words = conjugacy_words(Ur, Vr)
+    unknown = PowerDecision(Verdict.UNKNOWN, None, ("budget", ""))
     # a decision about another target, equal in Q: same verdict and exponent,
     # but its Dehn trace does not fit the winning target
-    other = power_decide(won.target + "abABcdCD", z1, G2, strat)
-    assert other.yes and other.p == p
+    other = power_decide(words.target(j) + "abABcdCD", words.z1, G2, strat)
+    assert other.yes and other.p == won.p
     for last in (
-        PowerQuery(j, won.target, other),
-        PowerQuery(j, won.target, PowerDecision(Verdict.UNKNOWN, None, ("budget", ""))),
-        PowerQuery(j, won.target, None),
-        (j, won.target, won.decision),  # no PowerQuery
+        other,
+        unknown,
+        None,
+        tuple(won),  # a plain tuple, no PowerDecision
+        won._replace(p=won.p + 1),
     ):
-        forged = trace.queries[:-1] + (last,)
-        bad = res._replace(trace=trace._replace(queries=forged))
+        bad = res._replace(trace=trace._replace(queries=(*missed, last)))
         assert replay_trace(bad, U, V, setup, strat) is False, last
-    # the winning query is the last one
-    bad = res._replace(trace=trace._replace(queries=trace.queries + (won._replace(j=j + 1),)))
+    # The scan stops at e2 queries.  Query e2 is a Yes, and the conjugator it
+    # rebuilds takes U to V inside P, but e2 Unknowns and then that Yes are
+    # no scan's trace.
+    late = power_decide(words.target(words.e2), words.z1, G2, strat)
+    gamma = words.conjugator(words.e2, late.p)
+    assert late.yes and p_membership(gamma, setup, strat).yes
+    assert all(mul(inverse(g), u, g) == v for g, u, v in zip(gamma, Ur, Vr))
+    queries = (unknown,) * words.e2 + (late,)
+    bad = ConjugacyResult(Verdict.YES, gamma, ConjugacyTrace("main", queries))
     assert replay_trace(bad, U, V, setup, strat) is False
+
+
+def test_replay_rejects_queries_past_the_first_yes():
+    # U = V = (aa, aa): x1 = x2 = w = 1 and z1 = z2 = a, e2 = 2.  Query 0
+    # is a Yes with p = 0, so the scan stops there with conjugator (1, 1).
+    setup, strat = setup_for(Z2)
+    U = V = ("aa", "aa")
+    res = p_conjugacy(U, V, setup, strat)
+    words = conjugacy_words(validate_pair(U, "ab"), validate_pair(V, "ab"))
+    assert res.yes and res.conjugator == ("", "") and len(res.trace.queries) == 1
+    assert replay_trace(res, U, V, setup, strat) is True
+    # query 1 is a Yes too, and its conjugator (a, a) takes U to V inside P,
+    # but the scan never reaches it, and query 0 rebuilds (1, 1), not (a, a)
+    yes1 = power_decide(words.target(1), words.z1, Z2, strat)
+    gamma = words.conjugator(1, yes1.p)
+    assert yes1.yes and gamma == ("a", "a") and p_membership(gamma, setup, strat).yes
+    queries = (*res.trace.queries, yes1)
+    past = res._replace(conjugator=gamma, trace=res.trace._replace(queries=queries))
+    assert replay_trace(past, U, V, setup, strat) is False
+    assert replay_trace(res._replace(conjugator=gamma), U, V, setup, strat) is False
 
 
 @pytest.mark.parametrize("pres", [Z2, ZXZ3, G2], ids=["z2", "zxz3", "genus2"])
@@ -271,18 +294,17 @@ def test_replay_rejects_forged_coords_nos():
     assert res.no and res.trace == ConjugacyTrace("coords")
     assert replay_trace(res, U, V, setup, strat) is True
     trace = res.trace
-    query = PowerQuery(0, "a", power_decide("a", "b", Z2, strat))
+    query = power_decide("a", "b", Z2, strat)
     forged = [
-        # fields the coords branch leaves unset
+        # queries, which the coords branch leaves empty
         res._replace(trace=trace._replace(queries=(query,))),
         res._replace(trace=trace._replace(queries=[])),  # a list, not the empty tuple
-        res._replace(trace=trace._replace(winner=(0, 0))),
         res._replace(trace=trace._replace(branch="main")),
         res._replace(verdict=Verdict.YES),  # a Yes with a coords trace
         res._replace(verdict=Verdict.YES, conjugator=PairElement("", "a")),
         res._replace(verdict=Verdict.UNKNOWN),
         res._replace(conjugator=PairElement("", "a")),
-        res._replace(trace=("coords", (), None)),  # equal to the trace, but a plain tuple
+        res._replace(trace=("coords", ())),  # equal to the trace, but a plain tuple
     ]
     for bad in forged:
         assert replay_trace(bad, U, V, setup, strat) is False, bad
@@ -301,27 +323,24 @@ def test_replay_rejects_forged_main_nos():
     trace = res.trace
     q0, q1 = trace.queries
     unknown = PowerDecision(Verdict.UNKNOWN, None, ("budget", ""))
-    other = power_decide("bb", "a", Z2, strat)  # a real No about another target
-    assert other.no and check_power_decision(other, "bb", "a", Z2)
+    yes = power_decide("aa", "a", Z2, strat)  # a real Yes about another target
+    assert yes.yes and check_power_decision(yes, "aa", "a", Z2)
+    roots = PowerDecision(Verdict.NO, None, ("roots",))  # a free-group No, but Q has a relator
     # query 2 as p_conjugacy would make it, but e2 = 2 stops the scan at j = 1
-    extra = PowerQuery(2, "aab", power_decide("aab", "a", Z2, strat))
-    assert extra.decision.no
+    extra = power_decide("aab", "a", Z2, strat)
+    assert extra.no
 
     def with_queries(*queries):
         return res._replace(trace=trace._replace(queries=queries))
 
     forged = [
-        with_queries(q0),  # a query dropped
-        with_queries(q1),
+        with_queries(q0),  # one query short
         with_queries(q0, q1, extra),  # an extra query
         with_queries(q0, q1, q0),
-        with_queries(q1, q0),  # two queries swapped
-        with_queries(q0._replace(j=1), q1._replace(j=0)),
-        with_queries(q0, q1._replace(decision=unknown)),  # an Unknown
-        with_queries(q0._replace(decision=other), q1),  # a No about another target
-        with_queries(q0._replace(decision=q1.decision), q1),
-        with_queries(q1._replace(j=0), q1),  # query 1's target and No as query 0
-        res._replace(trace=trace._replace(winner=(0, 1))),  # a winner on a No
+        with_queries(q0, unknown),  # an Unknown
+        with_queries(yes, q1),  # a Yes
+        with_queries(q0, roots),
+        with_queries(q0, tuple(q1)),  # a plain tuple, no PowerDecision
     ]
     for bad in forged:
         assert replay_trace(bad, U, V, setup, strat) is False, bad
@@ -331,41 +350,39 @@ def test_replay_rejects_forged_main_nos():
     assert replay_trace(res, U, W, setup, strat) is False
 
 
-@pytest.mark.parametrize("pres, U, V, winner, other", [
-    (Z2, ("abaB", "aa"), ("aabaBA", "abABaabaBA"), (1, 1), "bb"),
-    (Z, ("abaa", "aaa"), ("Baabab", "Baaab"), (2, 0), "aa"),
+@pytest.mark.parametrize("pres, U, V, winner", [
+    (Z2, ("abaB", "aa"), ("aabaBA", "abABaabaBA"), (1, 1)),
+    (Z, ("abaa", "aaa"), ("Baabab", "Baaab"), (2, 0)),
 ], ids=["z2", "z"])
-def test_replay_checks_every_query_before_the_winner(pres, U, V, winner, other):
-    # a main Yes with winner (j, p) holds queries 0 ... j, each k < j a
-    # No or Unknown about z2^k * w^-1 that the scan went on past
+def test_replay_checks_every_query_before_the_winner(pres, U, V, winner):
+    # a main Yes whose query j has exponent p holds queries 0 ... j, each
+    # k < j a No or Unknown about z2^k * w^-1 that the scan went on past
     setup, strat = setup_for(pres)
     res = p_conjugacy(U, V, setup, strat)
     trace = res.trace
-    assert res.yes and trace.branch == "main" and trace.winner == winner
-    assert len(trace.queries) == winner[0] + 1
+    *missed, won = trace.queries
+    assert res.yes and trace.branch == "main" and (len(missed), won.p) == winner
     assert replay_trace(res, U, V, setup, strat) is True
     q0, *rest = trace.queries
-    won = trace.queries[-1]
-    z1 = conjugacy_words(validate_pair(U, pres.generators), validate_pair(V, pres.generators)).z1
     unknown = PowerDecision(Verdict.UNKNOWN, None, ("budget", ""))
-    # a real No about a target that differs from query 0's in Q
-    other_no = power_decide(other, z1, pres, strat)
-    assert other_no.no and not check_power_decision(other_no, q0.target, z1, pres)
 
     def with_queries(*queries):
         return res._replace(trace=trace._replace(queries=queries))
 
     # an Unknown before the winner is what the scan passes over
-    assert replay_trace(with_queries(q0._replace(decision=unknown), *rest), U, V, setup, strat)
+    assert replay_trace(with_queries(unknown, *rest), U, V, setup, strat)
     forged = [
         with_queries((None, "junk"), *trace.queries),  # a junk prefix
         with_queries(*rest),  # a query dropped
-        with_queries(q0, *trace.queries[:-1]),  # the winner dropped, query 0 twice
-        with_queries(q0, *trace.queries),  # a query duplicated
-        with_queries(rest[0], q0, *rest[1:]),  # two queries swapped
-        with_queries(q0._replace(decision=won.decision), *rest),  # a prefix Yes
-        with_queries(q0._replace(decision=other_no), *rest),  # a No about another target
-        with_queries(q0._replace(decision=unknown._replace(p=0)), *rest),
+        with_queries(q0, *missed),  # the winner dropped: the last query a No
+        with_queries(q0, *trace.queries),  # a query duplicated: e2 + 1 queries
+        with_queries(*missed[:-1], won, missed[-1]),  # the winner and the query before it swapped
+        with_queries(won, *rest),  # a prefix Yes
+        with_queries(unknown._replace(p=0), *rest),
+        # the winner's exponent forged: True == 1, but a bool is no exponent
+        with_queries(*missed, won._replace(p=won.p + 1)),
+        with_queries(*missed, won._replace(p=True)),
+        with_queries(*missed, tuple(won)),  # a plain tuple, no PowerDecision
     ]
     for bad in forged:
         assert replay_trace(bad, U, V, setup, strat) is False, bad
