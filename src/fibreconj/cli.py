@@ -9,8 +9,6 @@ runner gets both and prints its result line through `_emit`.
 
 from __future__ import annotations
 
-import argparse
-import random
 import sys
 
 from .area import STATE_BUDGET, area_bounded, dehn_function, rel_cyclics_dehn
@@ -115,16 +113,18 @@ def parse_presentation_file(path: str) -> Presentation:
     return parse_presentation(text)
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse maps usage errors to exit 2 by default; we need 3."""
+def _build_parser():
+    # argparse (and gettext, which it imports) load only when a command line is parsed
+    import argparse
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(3)
+    class _Parser(argparse.ArgumentParser):
+        """argparse maps usage errors to exit 2 by default; we need 3."""
 
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"error: {message}", file=sys.stderr)
+            raise SystemExit(3)
 
-def _build_parser() -> _Parser:
     parser = _Parser(prog="fibreconj")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -332,6 +332,8 @@ def _run_gens(args, pres, strat) -> int:
 
 
 def _run_verify(args, pres, strat) -> int:
+    import random
+
     from . import brute  # the references load only here, not on every query
 
     instances = agreements = disagreements = unknowns = 0

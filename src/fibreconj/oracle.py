@@ -18,12 +18,12 @@ from .area import STATE_BUDGET, VanKampenProduct, area_bounded, evaluate_vk_prod
 from .decisions import Decision, PowerDecision, Verdict
 from .presentation import Presentation
 from .words import (
+    _primitive_root,
     free_reduce,
     inverse,
     mul,
     mul2,
     power,
-    primitive_root,
     validate_word,
     word_letters,
 )
@@ -267,9 +267,12 @@ def normal_form(w: str, pres: Presentation, strat: StrategySpec) -> str:
 def q_equal(u: str, v: str, pres: Presentation, strat: StrategySpec) -> Decision:
     """Decide u = v in Q via triviality of u*v^-1.
 
-    u and v are validated here, so an error names the word at fault;
-    the product u*v^-1 is reduced at most once, by the strategy that
-    wp_decide hands it to.
+    The entry point for two words from outside (p_membership,
+    power_avoid, brute_power): u and v are validated here, so an error
+    names the word at fault, and wp_decide validates u*v^-1 again.  The
+    product is reduced at most once, by the strategy that wp_decide
+    hands it to.  Code that already holds validated words asks
+    wp_decide(u + inverse(v), ...) itself, the same query.
     """
     validate_word(u, pres.generators)
     validate_word(v, pres.generators)
@@ -283,18 +286,21 @@ def power_decide(w: str, u: str, pres: Presentation, strat: StrategySpec) -> Pow
     the least in absolute value, ties to the positive one.  Every Yes
     has the certificate ("power", dec), dec a word-problem Yes for
     w * u^-p; the exponent itself is stored only in the decision's p.
+
+    w and u are validated once.  w is freely reduced once; u only on
+    the branches that read it reduced, the free-group roots and the
+    scan, since the abelian branch reads exponent vectors.
     """
     _check_pairing(pres, strat.kind, strat.exactness_claim)
     validate_word(w, pres.generators)
     validate_word(u, pres.generators)
     w = free_reduce(w)
-    u = free_reduce(u)
 
     if w == "":
         return _freely_trivial(0)
 
     if not pres.relators:  # a free group: compare primitive roots
-        p = _free_power(w, u)
+        p = _free_power(w, free_reduce(u))
         if p is None:
             return PowerDecision(Verdict.NO, None, ("roots",))
         return _freely_trivial(p)
@@ -307,24 +313,24 @@ def power_decide(w: str, u: str, pres: Presentation, strat: StrategySpec) -> Pow
         if not strat.exactness_claim:
             return PowerDecision(Verdict.UNKNOWN, None, ("budget", "abelianization inconclusive"))
         p = minimal_power(sol)
-        dec = q_equal(w, power(u, p), pres, strat)
+        dec = wp_decide(w + inverse(power(u, p)), pres, strat)
         if not dec.yes:
             raise AssertionError("abelian power solution failed its own check")
         return PowerDecision(Verdict.YES, p, ("power", dec))
 
-    return _power_by_scan(w, u, pres, strat)
+    return _power_by_scan(w, free_reduce(u), pres, strat)
 
 
 def _free_power(w: str, u: str) -> int | None:
-    """The p with w = u^p in F for reduced nonempty w, or None; u = 1 has none.
+    """The p with w = u^p in F for reduced w and u, w nonempty, or None; u = 1 has none.
 
     In a free group w = u^p iff their primitive roots agree up to
     inversion and the exponent of u's root divides that of w's.
     """
     if u == "":
         return None
-    rw = primitive_root(w)
-    ru = primitive_root(u)
+    rw = _primitive_root(w)
+    ru = _primitive_root(u)
     if rw.exponent % ru.exponent or rw.root not in (ru.root, inverse(ru.root)):
         return None
     p = rw.exponent // ru.exponent
@@ -353,7 +359,8 @@ def _power_by_scan(w, u, pres, strat) -> PowerDecision:
     carries the Yes decision for u and the No decision for w, an order
     No the Yes decision for u^k and the No decisions of the scan.  w and
     u come freely reduced from power_decide, so the commutator is built
-    with seam-only products.
+    with seam-only products; both are validated there, so the scan asks
+    wp_decide about w * u^-p directly.
     """
     exact = strat.exactness_claim
 
@@ -384,7 +391,7 @@ def _power_by_scan(w, u, pres, strat) -> PowerDecision:
     saw_unknown = False
     scanned = []
     for p in _scan_order(limit):
-        dec = q_equal(w, power(u, p), pres, strat)
+        dec = wp_decide(w + inverse(power(u, p)), pres, strat)
         if dec.yes:
             return PowerDecision(Verdict.YES, p, ("power", dec))
         if dec.unknown:

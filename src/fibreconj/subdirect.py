@@ -13,16 +13,16 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .decisions import Decision, PowerDecision, Verdict, Verdicted
-from .oracle import StrategySpec, check_power_decision, power_decide, q_equal
+from .oracle import StrategySpec, check_power_decision, power_decide, q_equal, wp_decide
 from .presentation import Presentation
 from .words import (
-    free_conjugator,
+    _free_conjugator,
+    _primitive_root,
     free_reduce,
     inverse,
     mul,
     mul2,
     power,
-    primitive_root,
     validate_word,
     word_letters,
 )
@@ -87,17 +87,23 @@ class ConjugacyWords(NamedTuple):
         return mul2(power(self.z2, j), inverse(self.w))
 
     def conjugator(self, j: int, p: int) -> PairElement:
-        """(z1^p * w * x2, z2^j * x2): the main-branch conjugator for the pair (j, p)."""
-        return PairElement(mul(power(self.z1, p), self.w, self.x2), mul(power(self.z2, j), self.x2))
+        """(z1^p * w * x2, z2^j * x2): the main-branch conjugator for the pair (j, p).
+
+        Every factor is reduced, so the products cancel only at the seams.
+        """
+        return PairElement(
+            mul2(mul2(power(self.z1, p), self.w), self.x2), mul2(power(self.z2, j), self.x2)
+        )
 
 
 def conjugacy_words(U: PairElement, V: PairElement) -> ConjugacyWords:
-    """The words p_conjugacy works with, derived from reduced U and V."""
-    x1 = free_conjugator(U[0], V[0])
-    x2 = free_conjugator(U[1], V[1])
+    """The words p_conjugacy works with, derived from reduced U and V,
+    which are not reduced again."""
+    x1 = _free_conjugator(U[0], V[0])
+    x2 = _free_conjugator(U[1], V[1])
     if x1 is None or x2 is None or U[0] == "" or U[1] == "":
         return ConjugacyWords(x1, x2)
-    r1, r2 = primitive_root(U[0]), primitive_root(U[1])
+    r1, r2 = _primitive_root(U[0]), _primitive_root(U[1])
     return ConjugacyWords(x1, x2, mul2(x1, inverse(x2)), r1.root, r1.exponent, r2.root, r2.exponent)
 
 
@@ -133,11 +139,12 @@ def _finish(U, V, gamma, trace, setup, strat) -> ConjugacyResult:
     """Exact verification of a candidate conjugator, then membership.
 
     U, V and gamma are freely reduced, so the check needs no reduction
-    past the seams.
+    past the seams, and gamma is built from U and V, which are
+    validated, so membership asks wp_decide directly.
     """
     if (_conjugate2(gamma[0], U[0]), _conjugate2(gamma[1], U[1])) != V:
         raise AssertionError("constructed conjugator fails exact verification")
-    member = q_equal(*gamma, setup.pres, strat)
+    member = wp_decide(gamma[0] + inverse(gamma[1]), setup.pres, strat)
     if member.no:
         raise AssertionError("constructed conjugator escaped P")
     if member.unknown:
@@ -154,12 +161,13 @@ def p_conjugacy(U, V, setup: SubdirectSetup, strat: StrategySpec) -> ConjugacyRe
     down by a scan over the finitely many cosets of the second root.
 
     U and V are validated and reduced once; the words built from them
-    are products of reduced words, cancelling only at the seams.
+    are products of reduced words, cancelling only at the seams, and
+    each membership asks wp_decide about a * b^-1 directly.
     """
     U = validate_pair(U, setup.pres.generators)
     V = validate_pair(V, setup.pres.generators)
-    for name, pair in (("U", U), ("V", V)):
-        member = q_equal(*pair, setup.pres, strat)
+    for name, (a, b) in (("U", U), ("V", V)):
+        member = wp_decide(a + inverse(b), setup.pres, strat)
         if member.no:
             raise ValueError(f"{name} is not an element of P")
         if member.unknown:

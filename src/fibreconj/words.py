@@ -9,7 +9,6 @@ freely reduced input and all produce freely reduced output.
 
 from __future__ import annotations
 
-import string
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -30,9 +29,15 @@ def word_letters(generators: str) -> frozenset[str]:
 def validate_word(s: str, generators: str | None = None) -> None:
     """Raise ValueError unless s is a word, optionally over the given generators.
 
-    generators, when given, is a string of lowercase letters.  The error
-    names the first offending letter.
+    generators, when given, is a string of lowercase letters.  A valid
+    word passes one test, a str whose letters all lie among the
+    generators' letters (ASCII letters without generators); the letters
+    are walked only to name the first offending one.
     """
+    if type(s) is str and (
+        word_letters(generators).issuperset(s) if generators is not None else is_word(s)
+    ):
+        return
     if not is_word(s):
         bad = next(c for c in s if not (c.isascii() and c.isalpha()))
         raise ValueError(f"invalid letter {bad!r} in word {s!r}")
@@ -48,7 +53,8 @@ def inverse(w: str) -> str:
     return w[::-1].swapcase()
 
 
-_SWAP = {c: c.swapcase() for c in string.ascii_letters}
+_LOWER = "abcdefghijklmnopqrstuvwxyz"
+_SWAP = {c: c.swapcase() for c in _LOWER + _LOWER.upper()}
 
 
 def free_reduce(w: str) -> str:
@@ -142,12 +148,18 @@ def free_conjugator(w: str, v: str) -> str | None:
 
     Two words are conjugate iff their cyclic cores are rotations of each
     other; the conjugator is assembled from the stripped tails and the
-    rotation offset.  Each input is freely reduced once; the pieces of x
-    and the check x^-1 w x = v are products of reduced words, so they
-    cancel only at the seams (mul2).
+    rotation offset.  Each input is freely reduced once, then handed to
+    _free_conjugator.
     """
-    w = free_reduce(w)
-    v = free_reduce(v)
+    return _free_conjugator(free_reduce(w), free_reduce(v))
+
+
+def _free_conjugator(w: str, v: str) -> str | None:
+    """free_conjugator of freely reduced w and v.
+
+    The pieces of x and the check x^-1 w x = v are products of reduced
+    words, so they cancel only at the seams (mul2).
+    """
     cw, tw = _split_core(w)
     cv, tv = _split_core(v)
     if len(cw) != len(cv):
@@ -172,36 +184,39 @@ class RootDecomposition(NamedTuple):
 
 
 def primitive_root(w: str) -> RootDecomposition:
-    """Primitive root decomposition of a nontrivial reduced word.
+    """Primitive root decomposition of a nontrivial word.
 
     Writes w = t^-1 K t with K cyclically reduced, finds the shortest
     period z of K (so K = z^e), and returns (t^-1 z t, e); the returned
     root raised to the exponent freely reduces to w exactly, and the
     centralizer of w in the free group is generated by the root.
-    Raises ValueError on the empty word.
-
-    The input is freely reduced once.  The root t^-1 z t needs no
-    reduction: z is a piece of the reduced core and starts and ends with
-    the core's first and last letters, so its seams with t^-1 and t are
-    the seams of the reduced w.
+    Raises ValueError on a word that reduces to the empty word.  The
+    input is freely reduced once, then handed to _primitive_root.
     """
-    w = free_reduce(w)
+    return _primitive_root(free_reduce(w))
+
+
+def _primitive_root(w: str) -> RootDecomposition:
+    """primitive_root of a freely reduced w.
+
+    The shortest period of the core K is the first offset d > 0 at
+    which K occurs in K + K: K equals its rotation by d, so d divides
+    |K| and K = K[:d]^(|K| / d).  The root t^-1 z t needs no reduction:
+    z is a piece of the reduced core and starts and ends with the
+    core's first and last letters, so its seams with t^-1 and t are the
+    seams of the reduced w.
+    """
     if not w:
         raise ValueError("the trivial word has no primitive root")
     core, tail = _split_core(w)
-    n = len(core)
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        if core[:d] * (n // d) == core:
-            return RootDecomposition(inverse(tail) + core[:d] + tail, n // d)
-    raise AssertionError("unreachable: the core is a power of itself")
+    d = (core + core).find(core, 1)
+    return RootDecomposition(inverse(tail) + core[:d] + tail, len(core) // d)
 
 
 def is_proper_power(w: str) -> bool:
     """True if w = u^k for some k >= 2 (false for the trivial word)."""
     w = free_reduce(w)
-    return bool(w) and primitive_root(w).exponent >= 2
+    return bool(w) and _primitive_root(w).exponent >= 2
 
 
 def reduced_words(generators: str, max_len: int):

@@ -445,12 +445,14 @@ def test_module_entry_point_passes_exit_code():
 
 
 def test_cold_start_leaves_dataclasses_and_brute_force_unloaded():
-    # a query process needs neither; the brute_* references load on first use.
+    # a query process needs none of these; the brute_* references load on first
+    # use, argparse with the command-line parser and random with verify.
     # -S keeps site-packages hooks, which may import anything, out of the count
     script = """
 import sys
 import fibreconj, fibreconj.cli
-print(sorted({"dataclasses", "inspect", "fibreconj.brute"} & set(sys.modules)))
+unloaded = {"argparse", "dataclasses", "fibreconj.brute", "gettext", "inspect", "random", "string"}
+print(sorted(unloaded & set(sys.modules)))
 from fibreconj import *
 from fibreconj import brute
 names = ("brute_area", "brute_p_conjugacy", "brute_primitive_root")

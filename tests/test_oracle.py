@@ -527,6 +527,29 @@ def test_wp_decide_reduces_once(monkeypatch):
     assert seen == ["bB" + "acAC"]  # by area_bounded, which splits the core off its reduction
 
 
+@pytest.mark.parametrize("pres", [Z2, ZXZ3, G2, FREE], ids=["z2", "zxz3", "genus2", "free"])
+def test_power_decide_on_unreduced_words(pres):
+    # power_decide reduces w once and u only where it reads u reduced;
+    # cancelling pairs in either word change neither answer nor certificate
+    strat = auto_strategy(pres)
+    rng = random.Random(f"power/{pres.generators}/{len(pres.relators)}")
+    letters = pres.generators + pres.generators.upper()
+    answered = set()
+    for _ in range(60):
+        u = random_reduced_word(rng, pres.generators, rng.randint(1, 5))
+        if rng.random() < 0.5:
+            kernel = _seeded_relator_product(rng, pres, 1) if pres.relators else ""
+            w = mul(power(u, rng.randint(-3, 3)), kernel)
+        else:
+            w = random_reduced_word(rng, pres.generators, rng.randint(0, 8))
+        pw, pu = pad(w, rng, letters), pad(u, rng, letters)
+        pd = power_decide(pw, pu, pres, strat)
+        assert repr(pd) == repr(power_decide(w, u, pres, strat)), (w, u, pw, pu)
+        assert check_power_decision(pd, pw, pu, pres) and check_power_decision(pd, w, u, pres)
+        answered.add(pd.verdict)
+    assert {Verdict.YES, Verdict.NO} <= answered
+
+
 def test_power_free_strategy():
     s = auto_strategy(FREE)
     assert power_decide("abab", "ab", FREE, s).p == 2

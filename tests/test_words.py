@@ -5,14 +5,19 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import pad
+from fibreconj.brute import brute_primitive_root
 from fibreconj.words import (
     RootDecomposition,
+    _free_conjugator,
+    _primitive_root,
     cyclic_core,
     cyclic_reduce,
     exponent_vector,
     free_conjugator,
     free_reduce,
     inverse,
+    is_cyclically_reduced,
     is_proper_power,
     is_word,
     is_reduced,
@@ -139,6 +144,48 @@ def test_primitive_root_of_a_conjugated_power_is_reduced(t, z, e):
     assert is_reduced(dec.root)
     assert dec.exponent % e == 0
     assert power(dec.root, dec.exponent) == w
+
+
+@pytest.mark.parametrize("generators", ["ab", "abcd"])
+def test_primitive_root_of_a_conjugated_primitive_core(generators):
+    # t^-1 z^k t, reduced as written, with z cyclically reduced and primitive
+    # (by exhaustive search): the root is t^-1 z t and the exponent k
+    rng = random.Random(f"root/{generators}")
+    for n in range(1, 6):  # one-letter cores first
+        for k in range(1, 7):
+            while not (is_cyclically_reduced(z := random_reduced_word(rng, generators, n))
+                       and brute_primitive_root(z) == (z, 1)):
+                pass
+            while (t := random_reduced_word(rng, generators, rng.randint(0, 4))) and (
+                t[0] in (z[0], inverse(z[-1]))
+            ):
+                pass
+            w = inverse(t) + z * k + t
+            assert is_reduced(w)
+            assert primitive_root(w) == RootDecomposition(inverse(t) + z + t, k), (t, z, k)
+
+
+@pytest.mark.parametrize("generators", ["ab", "abcd"])
+def test_reduced_word_helpers_agree_with_the_public_functions(generators):
+    # _free_conjugator and _primitive_root take reduced words; the public
+    # functions reduce first, so padded input gets the same answers
+    rng = random.Random(f"helpers/{generators}")
+    letters = generators + generators.upper()
+    conjugate = 0
+    for _ in range(200):
+        w = random_reduced_word(rng, generators, rng.randint(0, 8))
+        if rng.random() < 0.5:
+            g = random_reduced_word(rng, generators, rng.randint(0, 4))
+            v = free_reduce(inverse(g) + w + g)
+        else:
+            v = random_reduced_word(rng, generators, len(w))
+        x = _free_conjugator(w, v)
+        conjugate += x is not None
+        assert free_conjugator(w, v) == free_conjugator(pad(w, rng, letters), pad(v, rng, letters)) == x
+        if w:
+            root = _primitive_root(w)
+            assert primitive_root(w) == primitive_root(pad(w, rng, letters)) == root
+    assert 50 <= conjugate <= 150
 
 
 def test_is_proper_power():
