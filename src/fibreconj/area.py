@@ -450,22 +450,29 @@ def _area_lookup(pres: Presentation):
 def dehn_function(n: int, pres: Presentation, wp) -> int:
     """Largest area among words of length at most n that are trivial in Q.
 
-    Only cyclically reduced words are asked about: a reduced word
-    x * c * x^-1 is conjugate to its shorter cyclic core c, which is
-    enumerated too and has the same triviality and the same area, so
-    skipping it leaves the maximum unchanged.  wp is a callable
-    word -> Decision deciding triviality; it must be definite on every
-    cyclically reduced candidate (an Unknown raises OracleUnknown).
-    Area search escalates without a factor cap, which terminates because
-    only certified-trivial words are searched.
+    wp is asked about one word of each inverse pair of cyclically
+    reduced words: the empty word and each nonempty cyclically reduced
+    w with w <= inverse(w) in plain str order.  A reduced word
+    x * c * x^-1 is conjugate to its shorter cyclic core c, and w^-1 is
+    cyclically reduced of the same length as w; conjugation and
+    inversion keep triviality and area (Lyndon-Schupp, Ch. V), so the
+    skipped words leave the maximum unchanged.  For cyclically reduced
+    w the first letters of w and inverse(w) differ (w[0] = w[-1]^-1
+    would cancel), so the first letters decide the order.
+    wp is a callable word -> Decision deciding triviality; it must be
+    definite on every word asked about (an Unknown raises
+    OracleUnknown).  Area search escalates without a factor cap, which
+    terminates because only certified-trivial words are searched.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     area_of = _area_lookup(pres)
     best = 0
     for w in reduced_words(pres.generators, n):
-        if w and w[0] == w[-1].swapcase():
-            continue  # conjugate to its cyclic core, asked about on its own
+        if w and w[-1].swapcase() <= w[0]:
+            # equal: conjugate to its cyclic core, asked about on its own;
+            # less: inverse(w) < w, asked about in its place
+            continue
         dec = wp(w)
         if dec.unknown:
             raise OracleUnknown(f"word problem oracle undecided on {w!r}")
@@ -482,13 +489,25 @@ def rel_cyclics_dehn(n: int, pres: Presentation, pp, wp) -> int:
     Area(w * u^p) + |p|*n over the exponents p of least absolute value
     with w = u^-p in Q.  pp is a power oracle (w, u) -> PowerDecision,
     wp a triviality oracle; both must be definite on the instance.
+
+    The oracles are asked about the pairs with w <= inverse(w) and
+    u <= inverse(u) in plain str order, one of each set (w^+-1, u^+-1).
+    Inverting w or u keeps |w| + |u| and negates the exponents, so for
+    candidate Area(w * u^p) of (w, u) the pair (w^-1, u) offers
+    Area(w^-1 * u^-p) = Area(u^p * w) = Area(w * u^p) (inversion, then
+    conjugation by w) and (w, u^-1) offers Area(w * (u^-1)^-p), the
+    same word: the skipped pairs offer the same candidates.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     area_of = _area_lookup(pres)
     best = 0
     for w in reduced_words(pres.generators, n):
+        if inverse(w) < w:
+            continue  # (w^-1, u) is asked about in its place
         for u in reduced_words(pres.generators, n - len(w)):
+            if inverse(u) < u:
+                continue  # (w, u^-1) is asked about in its place
             pd = pp(w, u)
             if pd.unknown:
                 raise OracleUnknown(f"power oracle undecided on ({w!r}, {u!r})")

@@ -341,7 +341,8 @@ def _run_verify(args, pres, strat) -> int:
 
     if args.what == "area":
         # the largest brute-force area over every reduced trivial word,
-        # against dehn_function, which asks about cyclically reduced ones only;
+        # against dehn_function, which asks about one word of each inverse
+        # pair of cyclically reduced words;
         # each word decision and each area witness must pass its checker
         brute_delta = 0
         for w in reduced_words(pres.generators, args.max_len):

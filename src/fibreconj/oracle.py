@@ -267,12 +267,13 @@ def normal_form(w: str, pres: Presentation, strat: StrategySpec) -> str:
 def q_equal(u: str, v: str, pres: Presentation, strat: StrategySpec) -> Decision:
     """Decide u = v in Q via triviality of u*v^-1.
 
-    The entry point for two words from outside (p_membership,
-    power_avoid, brute_power): u and v are validated here, so an error
-    names the word at fault, and wp_decide validates u*v^-1 again.  The
-    product is reduced at most once, by the strategy that wp_decide
-    hands it to.  Code that already holds validated words asks
-    wp_decide(u + inverse(v), ...) itself, the same query.
+    The entry point for two words from outside (power_avoid,
+    brute_power): u and v are validated here, so an error names the
+    word at fault, and wp_decide validates u*v^-1 again.  The product is
+    reduced at most once, by the strategy that wp_decide hands it to.
+    Code that validates its words itself (p_membership) or already
+    holds validated words asks wp_decide(u + inverse(v), ...), the same
+    query.
     """
     validate_word(u, pres.generators)
     validate_word(v, pres.generators)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .decisions import Decision, PowerDecision, Verdict, Verdicted
-from .oracle import StrategySpec, check_power_decision, power_decide, q_equal, wp_decide
+from .oracle import StrategySpec, check_power_decision, power_decide, wp_decide
 from .presentation import Presentation
 from .words import (
     _free_conjugator,
@@ -65,9 +65,16 @@ def canonical_setup(pres: Presentation) -> SubdirectSetup:
 
 
 def p_membership(pair, setup: SubdirectSetup, strat: StrategySpec) -> Decision:
-    """(a, b) lies in P iff a and b agree in Q."""
-    a, b = validate_pair(pair, setup.pres.generators)
-    return q_equal(a, b, setup.pres, strat)
+    """(a, b) lies in P iff a and b agree in Q.
+
+    Each coordinate is validated once, so an error names the word at
+    fault; the product a * b^-1 is reduced by the strategy wp_decide
+    hands it to, so the coordinates are not reduced here.
+    """
+    a, b = pair
+    validate_word(a, setup.pres.generators)
+    validate_word(b, setup.pres.generators)
+    return wp_decide(a + inverse(b), setup.pres, strat)
 
 
 class ConjugacyWords(NamedTuple):

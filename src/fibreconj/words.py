@@ -232,7 +232,10 @@ def reduced_words(generators: str, max_len: int):
         letters.append(g.upper())
     yield ""
     frontier = [""]
-    for _ in range(max_len):
+    for length in range(1, max_len + 1):
+        # the longest words are yielded only: keeping them would hold
+        # about two thirds of all the words at once
+        extend = length < max_len
         nxt = []
         for w in frontier:
             last = w[-1] if w else ""
@@ -241,7 +244,8 @@ def reduced_words(generators: str, max_len: int):
                     continue
                 u = w + c
                 yield u
-                nxt.append(u)
+                if extend:
+                    nxt.append(u)
         frontier = nxt
 
 

@@ -33,6 +33,7 @@ from fibreconj.words import (
     is_reduced,
     mul,
     mul2,
+    power,
     random_reduced_word,
     reduced_words,
     rotate,
@@ -546,7 +547,7 @@ def test_dehn_function_values():
 
 
 def _dehn_every_word(n, pres, wp):
-    """dehn_function as it was before the cyclic-word skip: it asks about every reduced word."""
+    """dehn_function without its word skips: it asks about every reduced word."""
     area_of = area._area_lookup(pres)
     best = 0
     for w in reduced_words(pres.generators, n):
@@ -565,8 +566,9 @@ FREE = Presentation("ab", ())
     (Z, 7), (Z2, 8), (Z3, 6), (ZA3, 6), (FREE, 6),
 ], ids=["z", "z2", "z3", "zxz3", "free"])
 def test_dehn_function_matches_every_word_loop(monkeypatch, pres, top):
-    # the skipped words x * c * x^-1 change neither the value nor the
-    # words searched, and the oracle hears about cyclically reduced words only
+    # the skipped words, x * c * x^-1 and w with inverse(w) < w, change
+    # neither the value nor the words searched, and the oracle hears about
+    # cyclically reduced words w with w <= inverse(w) only
     searched = []
     real = area.area_bounded
 
@@ -590,8 +592,32 @@ def test_dehn_function_matches_every_word_loop(monkeypatch, pres, top):
         asked.clear()
         assert dehn_function(n, pres, counting) == want, n
         assert set(searched) == want_searched, n
-        cyclic = [w for w in reduced_words(pres.generators, n) if is_cyclically_reduced(w)]
+        cyclic = [
+            w for w in reduced_words(pres.generators, n)
+            if is_cyclically_reduced(w) and not inverse(w) < w
+        ]
         assert asked == cyclic, n
+
+
+@pytest.mark.parametrize("pres, top", [
+    (Z, 7), (Z2, 7), (ZA3, 6), (FREE, 6),
+], ids=["z", "z2", "zxz3", "free"])
+def test_dehn_function_asks_about_one_word_of_each_inverse_pair(pres, top):
+    wp = wp_for(pres)
+    for n in range(top + 1):
+        asked = []
+
+        def counting(w):
+            asked.append(w)
+            return wp(w)
+
+        dehn_function(n, pres, counting)
+        assert len(asked) == len(set(asked)), n
+        assert asked.count("") == 1, n
+        cyclic = {w for w in reduced_words(pres.generators, n) if w and is_cyclically_reduced(w)}
+        assert set(asked) - {""} <= cyclic, n
+        for w in cyclic:
+            assert (w in asked) + (inverse(w) in asked) == 1, (n, w)
 
 
 def test_dehn_function_asks_about_cyclically_reduced_words():
@@ -604,13 +630,60 @@ def test_dehn_function_asks_about_cyclically_reduced_words():
 
     for n in range(4, 8):
         dehn_function(n, Z2, counting)
-    assert len(calls) == 4900
+    # one of each inverse pair of the 4,900 cyclically reduced words
+    assert len(calls) == 2452
 
 
 def test_dehn_function_needs_definite_oracle():
     strat = make_strategy(Z2, "search", 50)
     with pytest.raises(OracleUnknown):
         dehn_function(4, Z2, lambda w: wp_decide(w, Z2, strat))
+
+
+def _rel_cyclics_every_pair(n, pres, pp, wp):
+    """rel_cyclics_dehn without its pair skip: it asks about every reduced pair."""
+    area_of = area._area_lookup(pres)
+    best = 0
+    for w in reduced_words(pres.generators, n):
+        for u in reduced_words(pres.generators, n - len(w)):
+            pd = pp(w, u)
+            if pd.unknown:
+                raise OracleUnknown(f"power oracle undecided on ({w!r}, {u!r})")
+            if pd.no:
+                continue
+            p0 = pd.p
+            best = max(best, area_of(mul(w, power(u, -p0))) + abs(p0) * n)
+            if p0:
+                other = mul(w, power(u, p0))
+                dec = wp(other)
+                if dec.unknown:
+                    raise OracleUnknown(f"word problem oracle undecided on {other!r}")
+                if dec.yes:
+                    best = max(best, area_of(other) + abs(p0) * n)
+    return best
+
+
+@pytest.mark.parametrize("pres, top", [
+    (Z, 6), (Z3, 6), (Z2, 5), (ZA3, 5), (FREE, 5),
+], ids=["z", "z3", "z2", "zxz3", "free"])
+def test_rel_cyclics_matches_every_pair_loop(pres, top):
+    # the skipped pairs (w^-1, u) and (w, u^-1) offer the same candidates,
+    # and the oracles hear about pairs with w <= w^-1 and u <= u^-1 only
+    pp, wp = pp_for(pres), wp_for(pres)
+    asked = []
+
+    def counting(w, u):
+        asked.append((w, u))
+        return pp(w, u)
+
+    for n in range(top + 1):
+        asked.clear()
+        assert rel_cyclics_dehn(n, pres, counting, wp) == _rel_cyclics_every_pair(n, pres, pp, wp), n
+        assert asked == [
+            (w, u)
+            for w in reduced_words(pres.generators, n) if not inverse(w) < w
+            for u in reduced_words(pres.generators, n - len(w)) if not inverse(u) < u
+        ], n
 
 
 def test_rel_cyclics_values():

@@ -20,7 +20,7 @@ from fibreconj.subdirect import (
     replay_trace,
     validate_pair,
 )
-from fibreconj.words import free_reduce, inverse, mul
+from fibreconj.words import free_reduce, inverse, mul, random_reduced_word
 
 Z = Presentation("ab", ("b",))
 Z2 = Presentation("ab", ("abAB",))
@@ -421,3 +421,43 @@ def test_unreduced_inputs_get_the_answers_of_reduced_ones(pres):
         assert power_decide(pu[0], pv[0], pres, strat) == power_decide(u[0], v[0], pres, strat)
         assert q_equal(pu[0], pv[1], pres, strat) == q_equal(u[0], v[1], pres, strat)
     assert found >= 5
+
+
+def _outcome(f, *args):
+    """f's result, or the type and text of the exception it raises."""
+    try:
+        return f(*args)
+    except (TypeError, ValueError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("pres", [Z2, ZXZ3, G2], ids=["z2", "zxz3", "genus2"])
+def test_membership_is_q_equal_on_reduced_coordinates(pres):
+    # p_membership validates each coordinate and asks about a * b^-1
+    # unreduced: the decision, its certificate and every error are those
+    # of q_equal on the reduced coordinates
+    setup, strat = setup_for(pres)
+    gens = pres.generators
+    letters = gens + gens.upper()
+    rng = random.Random(32)
+
+    def reference(pair):
+        a, b = validate_pair(pair, gens)
+        return q_equal(a, b, pres, strat)
+
+    pairs = []
+    for _ in range(60):
+        a = random_reduced_word(rng, gens, rng.randint(0, 8))
+        theta = random_reduced_word(rng, gens, rng.randint(0, 3))
+        r = rng.choice(pres.relators)
+        member = mul(a, inverse(theta), r, theta)
+        other = random_reduced_word(rng, gens, rng.randint(0, 8))
+        pairs += [(a, member), (member, a), (a, other)]
+    pairs += [(pad(a, rng, letters), pad(b, rng, letters)) for a, b in pairs]
+    pairs += [("x", "a"), ("a", "x"), ("ax", "bX"), (None, "a"), ("a", 3), ("a",), ("a", "b", "c")]
+    yeses = 0
+    for pair in pairs:
+        got = _outcome(p_membership, pair, setup, strat)
+        assert repr(got) == repr(_outcome(reference, pair)), pair
+        yeses += getattr(got, "yes", False)
+    assert yeses >= 200

@@ -1,6 +1,7 @@
 """Free-group word arithmetic."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -205,6 +206,14 @@ def test_reduced_words_order_and_count():
     assert ws == sorted(ws, key=lambda w: (len(w), [rank[c] for c in w]))
     # single generator enumeration
     assert list(reduced_words("a", 2)) == ["", "a", "A", "aa", "AA"]
+    # every length up to max_len, the longest included, against all strings
+    for gens in ("a", "ab", "abc"):
+        alphabet = "".join(g + g.upper() for g in gens)
+        rank = {c: i for i, c in enumerate(alphabet)}
+        for n in range(6):
+            every = ["".join(t) for k in range(n + 1) for t in product(alphabet, repeat=k)]
+            want = sorted(filter(is_reduced, every), key=lambda w: (len(w), [rank[c] for c in w]))
+            assert list(reduced_words(gens, n)) == want, (gens, n)
 
 
 def test_exponent_vector():
